@@ -34,14 +34,12 @@ from .linalg import (
     commutator_norm,
     density_state,
     eig_hermitian,
-    herm_exp,
     partial_transpose,
     state_functionals,
     tensor,
 )
 from .twoqubit import (
     BdsState,
-    CurvePoint,
     ResourceReport,
     c_max,
     chsh_eigenvalues,

@@ -136,30 +136,22 @@ def solve_sdp(
             )
 
 
-def affine_subspace(a_eq: np.ndarray, b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Particular solution and orthonormal nullspace basis of A x = b."""
-    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-    b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-    x_part, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    _, sv, vt = np.linalg.svd(a_eq)
-    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if len(sv) else 1.0)))
-    null = vt[rank:].T
-    return x_part, null
-
-
 def eliminate_equalities(
     c: np.ndarray,
     cones: list[ConeConstraint],
     a_eq: np.ndarray,
-    b_eq: np.ndarray,
     x0: np.ndarray,
 ) -> tuple[np.ndarray, list[ConeConstraint], np.ndarray, np.ndarray, np.ndarray]:
-    """Reparametrize x = x0 + N z so equalities hold identically.
+    """Reparametrize x = x0 + N z so equalities A x = b hold identically.
 
-    x0 must already satisfy A x0 = b.  Returns (c_z, cones_z, z0, x_offset, N)
-    with z0 = 0 and the constant objective shift left to the caller.
+    x0 must already satisfy A x0 = b; N is an orthonormal null-space basis of A.
+    Returns (c_z, cones_z, z0, x_offset, N) with z0 = 0 and the constant
+    objective shift left to the caller.
     """
-    _, null = affine_subspace(a_eq, b_eq)
+    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    _, sv, vt = np.linalg.svd(a_eq)
+    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if len(sv) else 1.0)))
+    null = vt[rank:].T
     cones_z = []
     for cone in cones:
         a0 = cone.a0 + np.tensordot(x0, cone.basis, axes=(0, 0))

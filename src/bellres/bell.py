@@ -10,7 +10,7 @@ the other party whose only element is the identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .linalg import (
     PAULI_Z,
     PAULIS,
     check_hermitian,
-    eig_hermitian,
     tensor,
 )
 
@@ -73,6 +72,9 @@ class CorrelationScenario:
             norms = np.linalg.norm(vecs, axis=1)
             if np.abs(norms - 1.0).max() > 1e-12:
                 raise NotUnit(f"Bloch vector norms {norms} deviate from 1")
+        settings = (len(self.bloch_a), len(self.bloch_b))
+        if self.g.shape != settings:
+            raise ValueError(f"g has shape {self.g.shape}, expected {settings} from the Bloch vectors")
 
 
 def observable_from_bloch(a) -> np.ndarray:
@@ -295,7 +297,3 @@ def chsh_settings_for_c(c: float, party: str = "alice") -> tuple[np.ndarray, np.
         raise OutOfRange(f"single-party incompatibility must be in [0, 2], got {c}")
     theta = np.arcsin(c / 2.0)
     return PAULI_Z, np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
-
-
-def operator_spectrum(s: BellScenario):
-    return eig_hermitian(build_bell_operator(s))

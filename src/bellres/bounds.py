@@ -28,11 +28,21 @@ class RankSolution:
     resource: float
 
 
-def _prep_mu(mu, d: int, ascending: bool) -> np.ndarray:
+def _prep_mu(mu, d: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if len(mu) != d:
         raise OutOfRange(f"expected {d} eigenvalues, got {len(mu)}")
-    return mu[::-1].copy() if ascending else mu
+    return mu
+
+
+def _below_mean(solve, mu, target: float, d: int) -> RankSolution:
+    """The branch below Tr(I)/d: the same program on the negated spectrum.
+
+    Tr(rho I) = target is Tr(rho (-I)) = -target, and -I has the descending
+    spectrum -mu[::-1]; the returned weights pair with mu in ascending order.
+    """
+    sol = solve(-np.asarray(mu, dtype=float)[::-1], -target, d)
+    return RankSolution(sol.rank, sol.lambdas, target, sol.resource_kind, sol.resource)
 
 
 def max_value_given_probustness(mu, p_r: float, d: int) -> RankSolution:
@@ -41,7 +51,7 @@ def max_value_given_probustness(mu, p_r: float, d: int) -> RankSolution:
     All but the last nonzero state eigenvalue equal lam1 = (1 + P_R)/d; the
     rank r is the unique integer with 1/(r-1) > lam1 >= 1/r.
     """
-    mu = _prep_mu(mu, d, ascending=False)
+    mu = _prep_mu(mu, d)
     if not -1e-12 <= p_r <= d - 1 + 1e-12:
         raise OutOfRange(f"P_R must lie in [0, {d - 1}], got {p_r}")
     lam1 = (1.0 + p_r) / d
@@ -63,10 +73,8 @@ def min_lambda1_for_value(mu, target: float, d: int, *, ascending: bool = False)
     spectrum, with the returned weights pairing to the reversed eigenvalues.
     """
     if ascending:
-        neg = -np.asarray(mu, dtype=float)[::-1]
-        sol = min_lambda1_for_value(neg, -target, d)
-        return RankSolution(sol.rank, sol.lambdas, target, sol.resource_kind, sol.resource)
-    mu = _prep_mu(mu, d, ascending)
+        return _below_mean(min_lambda1_for_value, mu, target, d)
+    mu = _prep_mu(mu, d)
     mean = float(mu.mean())
     lo, hi = (mean, float(mu[0]))
     if target > hi + 1e-12:
@@ -106,7 +114,7 @@ def _rank_gh(mu: np.ndarray, r: int) -> tuple[float, float]:
 
 def max_value_given_renyi2(mu, p2: float, d: int) -> RankSolution:
     """Largest Bell value at fixed Renyi 2-purity (equivalently linear purity)."""
-    mu = _prep_mu(mu, d, ascending=False)
+    mu = _prep_mu(mu, d)
     if not -1e-12 <= p2 <= np.log2(d) + 1e-12:
         raise OutOfRange(f"P2 must lie in [0, log2 {d}], got {p2}")
     purity = min(max(2.0**p2 / d, 1.0 / d), 1.0)
@@ -160,8 +168,11 @@ def min_renyi2_for_value(mu, target: float, d: int, *, ascending: bool = False) 
 
     Rank ansatz from full rank downward; the returned eigenvalues satisfy the
     stationarity lambda_k = (beta mu_k + alpha)/2 of the Lagrange conditions.
+    Set ascending=True for targets below Tr(I)/d, as in min_lambda1_for_value.
     """
-    mu = _prep_mu(mu, d, ascending)
+    if ascending:
+        return _below_mean(min_renyi2_for_value, mu, target, d)
+    mu = _prep_mu(mu, d)
     mean = float(mu.mean())
     if target > mu[0] + 1e-12:
         raise Infeasible(f"target {target} exceeds the top eigenvalue {mu[0]}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,17 +25,20 @@ I3322_REF_ER = 0.8291
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return "nan"
-    return format(float(x), ".12g")
+    return format(x, ".12g") if math.isfinite(x) else "nan"
 
 
-def _emit_csv(header: list[str], rows) -> None:
+def _emit_csv(header: list[str], columns) -> None:
+    """Print one CSV row per entry of the equal-length columns."""
     print(",".join(header))
-    for row in rows:
+    for row in zip(*(np.asarray(col).ravel().tolist() for col in columns)):
         print(",".join(_fmt(v) for v in row))
+
+
+def _curve_columns(curve: np.recarray) -> list[np.ndarray]:
+    return [curve[name] for name in curve.dtype.names]
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -63,28 +67,26 @@ def load_scenario(path: str):
         s = bell.CorrelationScenario(
             g=corr["g"], bloch_a=corr["bloch_a"], bloch_b=corr["bloch_b"]
         )
-        op = bell.build_correlation_operator(s)
-        # exact LHV bound over deterministic +/-1 assignments
-        g = s.g
-        k_a = g.shape[0]
-        best = -np.inf
-        for bits in range(2**k_a):
-            signs = np.array([1 if bits >> x & 1 else -1 for x in range(k_a)], dtype=float)
-            best = max(best, float(np.abs(signs @ g).sum()))
-        return op, best, (2, 2)
-    dims = doc["dims"]
-    da, db = int(dims[0]), int(dims[1])
-    meas = doc["measurements"]
-    alice = [[_parse_matrix(m, da, f"alice setting {x}") for m in setting]
-             for x, setting in enumerate(meas["alice"])]
-    bob = [[_parse_matrix(m, db, f"bob setting {y}") for m in setting]
-           for y, setting in enumerate(meas["bob"])]
-    coeffs = {}
-    for entry in doc["coefficients"]:
-        key = (int(entry["a"]), int(entry["b"]), int(entry["x"]), int(entry["y"]))
-        coeffs[key] = coeffs.get(key, 0.0) + float(entry["c"])
-    scenario = bell.BellScenario(alice=alice, bob=bob, coefficients=coeffs)
-    return bell.build_bell_operator(scenario), bell.local_bound(scenario), (da, db)
+        scenario = bell.scenario_from_observables(
+            [bell.observable_from_bloch(a) for a in s.bloch_a],
+            [bell.observable_from_bloch(b) for b in s.bloch_b],
+            s.g,
+        )
+        dims = (2, 2)
+    else:
+        da, db = int(doc["dims"][0]), int(doc["dims"][1])
+        meas = doc["measurements"]
+        alice = [[_parse_matrix(m, da, f"alice setting {x}") for m in setting]
+                 for x, setting in enumerate(meas["alice"])]
+        bob = [[_parse_matrix(m, db, f"bob setting {y}") for m in setting]
+               for y, setting in enumerate(meas["bob"])]
+        coeffs = {}
+        for entry in doc["coefficients"]:
+            key = (int(entry["a"]), int(entry["b"]), int(entry["x"]), int(entry["y"]))
+            coeffs[key] = coeffs.get(key, 0.0) + float(entry["c"])
+        scenario = bell.BellScenario(alice=alice, bob=bob, coefficients=coeffs)
+        dims = (da, db)
+    return bell.build_bell_operator(scenario), bell.local_bound(scenario), dims
 
 
 def _builtin(name: str):
@@ -144,31 +146,24 @@ def cmd_bound(args) -> int:
 
 
 def cmd_chsh_curve(args) -> int:
-    points = twoqubit.min_er_vs_c_curve(args.v, _parse_grid(args.c_grid))
-    _emit_csv(
-        ["C", "lambda1", "E_R", "P_R", "feasible"],
-        [(p.x, p.lambda1, p.e_r, p.p_r, p.feasible) for p in points],
-    )
+    curve = twoqubit.min_er_vs_c_curve(args.v, _parse_grid(args.c_grid))
+    _emit_csv(["C", "lambda1", "E_R", "P_R", "feasible"], _curve_columns(curve))
     return 0
 
 
 def cmd_steering_curve(args) -> int:
-    points = twoqubit.min_er_vs_ca_curve(args.v, _parse_grid(args.ca_grid))
-    _emit_csv(
-        ["C_A", "lambda1", "E_R", "P_R", "feasible"],
-        [(p.x, p.lambda1, p.e_r, p.p_r, p.feasible) for p in points],
-    )
+    curve = twoqubit.min_er_vs_ca_curve(args.v, _parse_grid(args.ca_grid))
+    _emit_csv(["C_A", "lambda1", "E_R", "P_R", "feasible"], _curve_columns(curve))
     return 0
 
 
 def cmd_heatmap(args) -> int:
     ca = _parse_grid(args.ca_grid)
-    rows = twoqubit.lambda1_heatmap(args.v, ca, _parse_grid(args.cb_grid))
-    out = []
-    for c_a, row in zip(ca, rows):
-        for p in row:
-            out.append((c_a, p.x, p.lambda1, p.e_r, p.p_r, p.feasible))
-    _emit_csv(["C_A", "C_B", "lambda1", "E_R", "P_R", "feasible"], out)
+    grid = twoqubit.lambda1_heatmap(args.v, ca, _parse_grid(args.cb_grid))
+    _emit_csv(
+        ["C_A", "C_B", "lambda1", "E_R", "P_R", "feasible"],
+        [np.repeat(ca, grid.shape[1]), *_curve_columns(grid)],
+    )
     return 0
 
 
@@ -184,24 +179,27 @@ def cmd_min_resources(args) -> int:
             rows.append((v, np.nan, np.nan, np.nan, np.nan, False))
             continue
         rows.append((v, rep.p_r, rep.c_r, rep.d_r, rep.e_r, True))
-    _emit_csv(["v", "P_R", "C_R", "D_R", "E_R", "feasible"], rows)
+    _emit_csv(["v", "P_R", "C_R", "D_R", "E_R", "feasible"], list(zip(*rows)))
     return 0
 
 
 def cmd_relent_compare(args) -> int:
+    c = _parse_grid(args.c_grid)
+    curve = twoqubit.min_er_vs_c_curve(args.v, c)
+    mu = twoqubit.chsh_eigenvalues(c)
     target = 2.0 + args.v
-    rows = []
-    for c in _parse_grid(args.c_grid):
-        mu = twoqubit.chsh_eigenvalues(float(c))
-        if target > mu[0] - 1e-12:
-            rows.append((c, np.nan, np.nan, np.nan, False))
-            continue
-        lam1 = (target - mu[1]) / (mu[0] - mu[1])
-        log_rob = np.log2(1.0 + (4.0 * lam1 - 1.0))
-        p2 = bounds.min_renyi2_for_value(mu, target, 4).resource
-        s_p, _, _ = bounds.min_relent_purity_for_value(np.diag(mu), target)
-        rows.append((c, log_rob, p2, s_p, True))
-    _emit_csv(["C", "log_robustness", "renyi2_purity", "relent_purity", "feasible"], rows)
+    # the Gibbs state reaches the target only strictly below mu1
+    feasible = target <= mu[:, 0] - 1e-12
+    log_rob = np.where(feasible, np.log2(1.0 + curve.p_r), np.nan)
+    p2 = np.full(len(c), np.nan)
+    s_p = np.full(len(c), np.nan)
+    for k in np.flatnonzero(feasible):
+        p2[k] = bounds.min_renyi2_for_value(mu[k], target, 4).resource
+        s_p[k], _, _ = bounds.min_relent_purity_for_value(np.diag(mu[k]), target)
+    _emit_csv(
+        ["C", "log_robustness", "renyi2_purity", "relent_purity", "feasible"],
+        [c, log_rob, p2, s_p, feasible],
+    )
     return 0
 
 

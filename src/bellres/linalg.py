@@ -163,15 +163,6 @@ def partial_transpose(rho, subsystem: int):
     return t.reshape(da * db, da * db)
 
 
-def herm_exp(a, beta: float) -> np.ndarray:
-    """e^{beta A} for Hermitian A via eigendecomposition."""
-    spec = eig_hermitian(a)
-    w = np.exp(beta * spec.values)
-    v = spec.vectors
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2
-
-
 class StateFunctionals(NamedTuple):
     linear_purity: float
     renyi2_purity: float

@@ -8,7 +8,7 @@ and for the three-setting experiment where the closed forms do not apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import barrier
 from .barrier import ConeConstraint, hermitian_basis, hermitian_from_params, params_from_hermitian
 from .bounds import min_lambda1_for_value
 from .errors import Infeasible, NotBellDiagonal, OutOfRange, SolverFailure
-from .linalg import DensityState, density_state, eig_hermitian, partial_transpose
+from .linalg import DensityState, Spectrum, density_state, eig_hermitian, partial_transpose
 
 _B = (1.0 / np.sqrt(2.0)) * np.array(
     [
@@ -57,9 +57,6 @@ class BdsState:
         return (cols * self.lambdas) @ cols.conj().T
 
 
-_REPORT_LOG: list["ResourceReport"] = []
-
-
 @dataclass(frozen=True)
 class ResourceReport:
     """Per-state robustness bundle with the witnessing states."""
@@ -82,12 +79,6 @@ class ResourceReport:
                 f"resource hierarchy violated: P_R={self.p_r} C_R={self.c_r} "
                 f"D_R={self.d_r} E_R={self.e_r}"
             )
-        _REPORT_LOG.append(self)
-
-
-def emitted_reports() -> list[ResourceReport]:
-    """All ResourceReports constructed during this process (hierarchy audit)."""
-    return list(_REPORT_LOG)
 
 
 def _reduced_traces(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +86,7 @@ def _reduced_traces(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m @ m.conj().T, m.T @ m.conj()
 
 
-def is_bell_diagonal(op, *, tol: float = 1e-8) -> tuple[bool, "Spectrum"]:
+def is_bell_diagonal(op, *, tol: float = 1e-8) -> tuple[bool, Spectrum]:
     """Whether a 4x4 Hermitian operator is diagonal in a maximally entangled basis.
 
     Non-degenerate eigenvectors are tested directly for maximally mixed
@@ -103,8 +94,6 @@ def is_bell_diagonal(op, *, tol: float = 1e-8) -> tuple[bool, "Spectrum"]:
     those the equivalent operator-level criterion is used: both partial
     traces of the full operator must be proportional to the identity.
     """
-    from .linalg import Spectrum  # local import to avoid cycle in annotations
-
     spec = eig_hermitian(op)
     if spec.dim != 4:
         raise OutOfRange("Bell-diagonality test is defined for 4x4 operators")
@@ -181,12 +170,26 @@ def min_resources_for_value(op, local_bound: float, v: float) -> ResourceReport:
     )
 
 
-def chsh_eigenvalues(c: float) -> np.ndarray:
-    """CHSH operator spectrum (+sqrt(4+C), +sqrt(4-C), -sqrt(4-C), -sqrt(4+C))."""
-    if not 0.0 <= c <= 4.0:
-        raise OutOfRange(f"C must lie in [0, 4], got {c}")
-    hi, lo = np.sqrt(4.0 + c), np.sqrt(4.0 - c)
-    return np.array([hi, lo, -lo, -hi])
+def _in_range(name: str, values, upper: float) -> np.ndarray:
+    """values as a float array, or OutOfRange unless every entry lies in [0, upper]."""
+    arr = np.asarray(values, dtype=float)
+    outside = ~((0.0 <= arr) & (arr <= upper))
+    if outside.any():
+        raise OutOfRange(f"{name} must lie in [0, {upper:g}], got {arr[outside].flat[0]}")
+    return arr
+
+
+def _pm_sqrt_spectrum(center: float, c: np.ndarray) -> np.ndarray:
+    hi, lo = np.sqrt(center + c), np.sqrt(center - c)
+    return np.stack([hi, lo, -lo, -hi], axis=-1)
+
+
+def chsh_eigenvalues(c) -> np.ndarray:
+    """CHSH operator spectrum (+sqrt(4+C), +sqrt(4-C), -sqrt(4-C), -sqrt(4+C)).
+
+    C may be an array; the spectra then run along a new last axis of length 4.
+    """
+    return _pm_sqrt_spectrum(4.0, _in_range("C", c, 4.0))
 
 
 def chsh_max_value(lambda1: float, c: float) -> float:
@@ -204,89 +207,55 @@ def c_max(lambda1: float) -> float:
     return 4.0 * (2.0 * lambda1 - 1.0) / (2.0 * lambda1**2 - 2.0 * lambda1 + 1.0)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    x: float
-    lambda1: float
-    e_r: float
-    p_r: float
-    feasible: bool
+def _rank2_curve(x, mu: np.ndarray, local: float, v: float) -> np.recarray:
+    """Minimal lam1, E_R = 2*lam1 - 1 and P_R = 4*lam1 - 1 at Bell value t = local + v.
+
+    mu holds descending Bell-diagonal spectra, shape (..., 4).  The optimal
+    state mixes the top two eigenvectors with lam1 = (t - mu2)/(mu1 - mu2);
+    points where t exceeds mu1 are infeasible and carry NaN.  Returns a
+    record array of x's broadcast shape with fields x, lambda1, e_r, p_r,
+    feasible.
+    """
+    if v <= 0:
+        raise OutOfRange(f"violation must be positive, got {v}")
+    target = local + v
+    mu1, mu2 = mu[..., 0], mu[..., 1]
+    feasible = target <= mu1 + 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):  # mu1 = mu2 only where infeasible
+        lam1 = np.where(feasible, np.minimum(1.0, (target - mu2) / (mu1 - mu2)), np.nan)
+    return np.rec.fromarrays(
+        np.broadcast_arrays(x, lam1, 2.0 * lam1 - 1.0, 4.0 * lam1 - 1.0, feasible),
+        names="x,lambda1,e_r,p_r,feasible",
+    )
 
 
-def _rank2_lambda1(mu1: float, mu2: float, target: float) -> float:
-    return (target - mu2) / (mu1 - mu2)
-
-
-def min_er_vs_c_curve(v: float, c_grid) -> list[CurvePoint]:
+def min_er_vs_c_curve(v: float, c_grid) -> np.recarray:
     """Minimal entanglement robustness versus CHSH incompatibility at violation v."""
-    if v <= 0:
-        raise OutOfRange(f"violation must be positive, got {v}")
-    target = 2.0 + v
-    points = []
-    for c in np.asarray(c_grid, dtype=float):
-        mu = chsh_eigenvalues(c)
-        if target > mu[0] + 1e-12:
-            points.append(CurvePoint(float(c), np.nan, np.nan, np.nan, False))
-            continue
-        lam1 = min(1.0, _rank2_lambda1(mu[0], mu[1], target))
-        points.append(
-            CurvePoint(float(c), lam1, 2.0 * lam1 - 1.0, 4.0 * lam1 - 1.0, True)
-        )
-    return points
+    c = np.asarray(c_grid, dtype=float)
+    return _rank2_curve(c, chsh_eigenvalues(c), 2.0, v)
 
 
-def steering_eigenvalues(c_a: float) -> np.ndarray:
-    """F2 steering operator spectrum (+sqrt(2+C_A), ..., -sqrt(2+C_A))."""
-    if not 0.0 <= c_a <= 2.0:
-        raise OutOfRange(f"C_A must lie in [0, 2], got {c_a}")
-    hi, lo = np.sqrt(2.0 + c_a), np.sqrt(2.0 - c_a)
-    return np.array([hi, lo, -lo, -hi])
+def steering_eigenvalues(c_a) -> np.ndarray:
+    """F2 steering operator spectrum (+sqrt(2+C_A), ..., -sqrt(2+C_A)); C_A may be an array."""
+    return _pm_sqrt_spectrum(2.0, _in_range("C_A", c_a, 2.0))
 
 
-def min_er_vs_ca_curve(v: float, ca_grid) -> list[CurvePoint]:
+def min_er_vs_ca_curve(v: float, ca_grid) -> np.recarray:
     """Steering analogue of the CHSH curve; local bound sqrt(2)."""
-    if v <= 0:
-        raise OutOfRange(f"violation must be positive, got {v}")
-    target = np.sqrt(2.0) + v
-    points = []
-    for c_a in np.asarray(ca_grid, dtype=float):
-        mu = steering_eigenvalues(c_a)
-        if target > mu[0] + 1e-12:
-            points.append(CurvePoint(float(c_a), np.nan, np.nan, np.nan, False))
-            continue
-        lam1 = min(1.0, _rank2_lambda1(mu[0], mu[1], target))
-        points.append(
-            CurvePoint(float(c_a), lam1, 2.0 * lam1 - 1.0, 4.0 * lam1 - 1.0, True)
-        )
-    return points
+    c_a = np.asarray(ca_grid, dtype=float)
+    return _rank2_curve(c_a, steering_eigenvalues(c_a), np.sqrt(2.0), v)
 
 
-def heatmap_eigenvalues(c_a: float, c_b: float) -> np.ndarray:
-    """Spectrum from the additive-quantifier expression; equals +/-sqrt(4 +/- C_A C_B)."""
-    cross = ((c_a + c_b) ** 2 - c_a**2 - c_b**2) / 2.0
-    hi, lo = np.sqrt(4.0 + cross), np.sqrt(4.0 - cross)
-    return np.array([hi, lo, -lo, -hi])
+def lambda1_heatmap(v: float, ca_grid, cb_grid) -> np.recarray:
+    """Necessary lam1 over a (C_A, C_B) grid: the CHSH curve at C = C_A * C_B.
 
-
-def lambda1_heatmap(v: float, ca_grid, cb_grid) -> list[list[CurvePoint]]:
-    """Necessary lam1 over an (C_A, C_B) incompatibility grid."""
-    if v <= 0:
-        raise OutOfRange(f"violation must be positive, got {v}")
-    target = 2.0 + v
-    rows = []
-    for c_a in np.asarray(ca_grid, dtype=float):
-        row = []
-        for c_b in np.asarray(cb_grid, dtype=float):
-            mu = heatmap_eigenvalues(c_a, c_b)
-            if target > mu[0] + 1e-12:
-                row.append(CurvePoint(float(c_b), np.nan, np.nan, np.nan, False))
-            else:
-                lam1 = min(1.0, _rank2_lambda1(mu[0], mu[1], target))
-                row.append(
-                    CurvePoint(float(c_b), lam1, 2.0 * lam1 - 1.0, 4.0 * lam1 - 1.0, True)
-                )
-        rows.append(row)
-    return rows
+    Each single-party incompatibility must lie in [0, 2].  Row i holds C_A =
+    ca_grid[i]; the x field holds C_B.
+    """
+    c_a = _in_range("C_A", ca_grid, 2.0)
+    c_b = _in_range("C_B", cb_grid, 2.0)
+    c = np.multiply.outer(c_a, c_b)
+    return _rank2_curve(np.broadcast_to(c_b, c.shape), chsh_eigenvalues(c), 2.0, v)
 
 
 _H4 = hermitian_basis(4)
@@ -336,8 +305,8 @@ def er_min_for_value(op, target: float, *, gap_tol: float = 1e-9) -> tuple[float
     ]
     c = np.concatenate([np.zeros(n), _TRACE_H4])
     bell = np.einsum("kij,ji->k", _H4, m).real
+    # Tr(rho) = 1 and Tr(rho I) = target hold at x0 and along the null space of a_eq
     a_eq = np.stack([np.concatenate([_TRACE_H4, np.zeros(n)]), np.concatenate([bell, np.zeros(n)])])
-    b_eq = np.array([1.0, target])
     # strictly feasible start: Gibbs-like mixture hitting the target, sigma = 1
     t_mix = (target - mean) / (mu[0] - mean)
     v1 = spec.vectors[:, 0]
@@ -345,7 +314,7 @@ def er_min_for_value(op, target: float, *, gap_tol: float = 1e-9) -> tuple[float
     x0 = np.concatenate(
         [params_from_hermitian(rho0, _H4), params_from_hermitian(np.eye(4, dtype=complex), _H4)]
     )
-    c_z, cones_z, z0, x_off, null = barrier.eliminate_equalities(c, cones, a_eq, b_eq, x0)
+    c_z, cones_z, z0, x_off, null = barrier.eliminate_equalities(c, cones, a_eq, x0)
     z, _ = barrier.solve_sdp(c_z, cones_z, z0, gap_tol=gap_tol)
     x = x_off + null @ z
     rho = hermitian_from_params(x[:n], _H4)
@@ -415,7 +384,6 @@ def cr_min_for_value(op, target: float, basis: np.ndarray, *, gap_tol: float = 1
     n = len(_H4)
     diag_basis = np.array([np.diag(row) for row in np.eye(4, dtype=complex)])
     pad_rho = np.zeros((4, 4, 4), dtype=complex)
-    pad_d = np.zeros_like(_H4)
     rho_basis = np.concatenate([_H4, pad_rho])
     gap_basis = np.concatenate([-_H4, diag_basis])
     zeros = np.zeros((4, 4), dtype=complex)
@@ -428,12 +396,11 @@ def cr_min_for_value(op, target: float, basis: np.ndarray, *, gap_tol: float = 1
     a_eq = np.stack(
         [np.concatenate([_TRACE_H4, np.zeros(4)]), np.concatenate([bell, np.zeros(4)])]
     )
-    b_eq = np.array([1.0, target])
     t_mix = (target - mean) / (mu[0] - mean)
     v1 = spec.vectors[:, 0]
     rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * np.eye(4) / 4.0
     x0 = np.concatenate([params_from_hermitian(rho0, _H4), np.real(np.diag(rho0)) + 1.0])
-    c_z, cones_z, z0, x_off, null = barrier.eliminate_equalities(c, cones, a_eq, b_eq, x0)
+    c_z, cones_z, z0, x_off, null = barrier.eliminate_equalities(c, cones, a_eq, x0)
     z, _ = barrier.solve_sdp(c_z, cones_z, z0, gap_tol=gap_tol)
     x = x_off + null @ z
     return max(0.0, float(c @ x) - 1.0)

@@ -8,6 +8,24 @@ from bellres import bell, twoqubit
 
 HIERARCHY_SLACK = 1e-9
 
+# every ResourceReport built during the run, for criterion 9 and the final audit
+_REPORTS: list = []
+_check_hierarchy = twoqubit.ResourceReport.__post_init__
+
+
+def _collect_report(report) -> None:
+    _check_hierarchy(report)
+    _REPORTS.append(report)
+
+
+twoqubit.ResourceReport.__post_init__ = _collect_report
+
+
+@pytest.fixture
+def emitted_reports():
+    """The live list of reports: it also shows those the test builds after set-up."""
+    return _REPORTS
+
 
 @pytest.fixture(scope="session")
 def chsh_op():
@@ -21,7 +39,7 @@ def i3322_scenario():
 
 def pytest_sessionfinish(session, exitstatus):
     """Audit every ResourceReport emitted anywhere in the run (criterion 9)."""
-    reports = twoqubit.emitted_reports()
+    reports = _REPORTS
     bad = [
         r
         for r in reports

@@ -253,12 +253,12 @@ def test_criterion_8_steering_analog():
     assert elapsed < 30.0
 
 
-def test_criterion_9_hierarchy_invariant(chsh_op):
+def test_criterion_9_hierarchy_invariant(chsh_op, emitted_reports):
     t0 = time.monotonic()
     # emit a fresh sweep of reports, then audit everything logged so far
     for v in np.linspace(0.001, TSIRELSON - 2.0, 25):
         twoqubit.min_resources_for_value(chsh_op, 2.0, float(v))
-    reports = twoqubit.emitted_reports()
+    reports = emitted_reports
     bad = [
         r
         for r in reports

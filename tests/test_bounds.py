@@ -16,7 +16,7 @@ from bellres.bounds import (
 )
 from bellres.errors import DimMismatch, Infeasible, OutOfRange
 from bellres.linalg import eig_hermitian, state_functionals
-from bellres.oracles import default_rng
+from bellres.oracles import default_rng, min_purity_nelder_mead
 
 RT2 = np.sqrt(2.0)
 TSIRELSON = 2 * RT2
@@ -171,6 +171,13 @@ class TestMinRenyi2ForValue:
             min_renyi2_for_value(MU4, 4.5, 4)
         with pytest.raises(Infeasible):
             min_renyi2_for_value(MU4, 0.0, 4)
+
+    def test_below_mean_branch(self):
+        mu = np.array([3.0, 1.0, 0.0, -2.0])  # mean 0.5
+        sol = min_renyi2_for_value(mu, 0.0, 4, ascending=True)
+        brute = min_purity_nelder_mead(mu, 0.0, seed=0xA5C)
+        assert sol.resource == pytest.approx(np.log2(4 * brute), abs=1e-6)
+        assert sol.lambdas @ mu[::-1][: sol.rank] == pytest.approx(0.0, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -120,6 +121,22 @@ class TestScenarioFiles:
         assert parsed["local_bound"] == pytest.approx(1.0)  # sigma_z x sigma_z correlator
         assert parsed["spectrum"][0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("g", [[[1, 1, 1], [1, -1, 1]], [[1]]])
+    def test_correlation_g_shape_mismatch_exits_1(self, capsys, tmp_path, g):
+        doc = {
+            "correlation": {
+                "g": g,
+                "bloch_a": [[0, 0, 1], [1, 0, 0]],
+                "bloch_b": [[0, 0, 1], [1, 0, 0]],
+            }
+        }
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["bound", "--scenario", str(path), "--value", "0.2"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+
     def test_malformed_json_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -174,10 +191,52 @@ class TestCurveCommands:
         assert cells[(2.0, 0.0)][5] == "false"
         assert cells[(2.0, 2.0)][5] == "true"
 
+    @pytest.mark.parametrize(
+        "ca_grid, cb_grid",
+        [("0:3:2", "2:3:2"), ("0:2.5:2", "0:0.5:2")],  # C_A C_B = 1.25 lies inside [0, 4]
+    )
+    def test_heatmap_out_of_domain_exits_1(self, capsys, ca_grid, cb_grid):
+        argv = ["heatmap", "--v", "0.001", "--ca-grid", ca_grid, "--cb-grid", cb_grid]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert "true" not in out
+        assert err.startswith("input error:")
+
     def test_bad_grid_exits_1(self, capsys):
         code, _, err = run(capsys, ["chsh-curve", "--v", "0.001", "--c-grid", "nope"])
         assert code == 1
         assert "grid" in err
+
+
+class TestGoldenOutputs:
+    # sha256 of the README commands' stdout, recorded from the per-point loop
+    # implementation; the array code must print the same bytes
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["chsh-curve", "--v", "0.001", "--c-grid", "0:4:401"],
+                "61d4f15379e227598d185c101cca0edda10d6ae2e3751037475493c5902779ac",
+            ),
+            (
+                ["steering-curve", "--v", "0.001", "--ca-grid", "0:2:201"],
+                "488812e5d695b9b7d7266c50f8c22e778083be90dd1d93a3c425a66832405141",
+            ),
+            (
+                ["min-resources", "--v-grid", "0.001:0.8284:100"],
+                "f06aed5be00fcaaba5d8b854c8a6ccea5ef2a892e7ee14b4fd1576f2c7b771d6",
+            ),
+            (
+                ["relent-compare", "--v", "0.2", "--c-grid", "0:4:101"],
+                "73e322aa51faa6622a3cc3cf9ea8b05666f479c46abfbb29461c88531eecf150",
+            ),
+        ],
+        ids=["chsh-curve", "steering-curve", "min-resources", "relent-compare"],
+    )
+    def test_readme_csv_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestMinResources:

@@ -15,7 +15,6 @@ from bellres.linalg import (
     commutator_norm,
     density_state,
     eig_hermitian,
-    herm_exp,
     partial_transpose,
     state_functionals,
     tensor,
@@ -173,23 +172,6 @@ class TestPartialTranspose:
             partial_transpose(rho, 2)
         with pytest.raises(BadSubsystem):
             partial_transpose(np.eye(6) / 6, 0)  # 6 is not a perfect square
-
-
-class TestHermExp:
-    def test_beta_zero(self):
-        rng = np.random.default_rng(8)
-        a = _rand_herm(rng, 4)
-        assert np.abs(herm_exp(a, 0.0) - np.eye(4)).max() <= 1e-12
-
-    def test_pauli_z(self):
-        out = herm_exp(PAULI_Z, 1.0)
-        assert np.allclose(out, np.diag([np.e, 1.0 / np.e]))
-
-    def test_inverse_identity(self):
-        rng = np.random.default_rng(9)
-        a = _rand_herm(rng, 5)
-        prod = herm_exp(a, 1.0) @ herm_exp(a, -1.0)
-        assert np.abs(prod - np.eye(5)).max() <= 1e-9
 
 
 class TestStateFunctionals:

@@ -18,7 +18,6 @@ from bellres.twoqubit import (
     cr_min_over_product_bases,
     er_min_for_value,
     er_ppt_solver,
-    heatmap_eigenvalues,
     is_bell_diagonal,
     lambda1_heatmap,
     min_er_vs_c_curve,
@@ -215,14 +214,40 @@ class TestCurves:
         assert not pts[0].feasible
 
 
+def _heatmap_loop(v, ca_grid, cb_grid):
+    """Per-cell reference for lambda1_heatmap: lam1 at C = C_A C_B, NaN where infeasible."""
+    target = 2.0 + v
+    lam1 = np.full((len(ca_grid), len(cb_grid)), np.nan)
+    for i, c_a in enumerate(ca_grid):
+        for j, c_b in enumerate(cb_grid):
+            c = c_a * c_b
+            hi, lo = np.sqrt(4.0 + c), np.sqrt(4.0 - c)
+            if target <= hi + 1e-12:
+                lam1[i, j] = min(1.0, (target - lo) / (hi - lo))
+    return lam1
+
+
 class TestHeatmap:
-    def test_additive_identity(self):
-        for c_a in np.linspace(0, 2, 9):
-            for c_b in np.linspace(0, 2, 9):
-                got = heatmap_eigenvalues(float(c_a), float(c_b))
-                c = c_a * c_b
-                expect = [np.sqrt(4 + c), np.sqrt(4 - c), -np.sqrt(4 - c), -np.sqrt(4 + c)]
-                assert np.abs(got - expect).max() <= 1e-12
+    # the last v puts the target 5e-13 above mu1 at C = 4: feasible by the slack, lam1 clamped
+    @pytest.mark.parametrize("v", [0.001, 0.3, TSIRELSON - 2.0 + 5e-13])
+    def test_matches_per_cell_loop(self, v):
+        ca, cb = np.linspace(0, 2, 81), np.linspace(0, 2, 41)
+        grid = lambda1_heatmap(v, ca, cb)
+        lam1 = _heatmap_loop(v, ca, cb)
+        assert grid.shape == (81, 41)
+        np.testing.assert_array_equal(grid.x, np.broadcast_to(cb, grid.shape))
+        np.testing.assert_array_equal(grid.lambda1, lam1)
+        np.testing.assert_array_equal(grid.e_r, 2.0 * lam1 - 1.0)
+        np.testing.assert_array_equal(grid.p_r, 4.0 * lam1 - 1.0)
+        np.testing.assert_array_equal(grid.feasible, ~np.isnan(lam1))
+
+    def test_out_of_domain(self):
+        with pytest.raises(OutOfRange):
+            lambda1_heatmap(0.001, [0.0, 3.0], [2.0, 3.0])
+        with pytest.raises(OutOfRange):
+            lambda1_heatmap(0.001, [0.0, 2.5], [0.0, 0.5])  # product 1.25 is a valid C
+        with pytest.raises(OutOfRange):
+            lambda1_heatmap(0.001, [1.0], [-0.5])
 
     def test_corner_cells(self):
         rows = lambda1_heatmap(0.001, [2.0], [0.0, 2.0])
