@@ -3,8 +3,10 @@
 Problems are linear objectives over real parameter vectors subject to affine
 Hermitian positive-semidefinite cone constraints S_k(x) = A0_k + sum_i x_i
 A_ki >= 0.  Equality constraints are handled by affine elimination before the
-solve.  Matrices here are at most 4x4, so dense Newton steps are cheap and
-the duality-gap proxy sum_k dim(S_k)/t certifies the accuracy directly.
+solve.  Matrices here are at most 4x4, so dense Newton steps are cheap.  The
+stopping rule is the duality-gap proxy sum_k dim(S_k)/t, which bounds the true
+gap only if every centering step converged; a stalled line search ends its
+centering step early without any signal, so the proxy is not a certificate.
 """
 
 from __future__ import annotations
@@ -56,49 +58,40 @@ def params_from_hermitian(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("kij,ji->k", basis, h).real / norms
 
 
-def _logdet_pd(s: np.ndarray) -> float | None:
-    """log det of a Hermitian matrix, or None if not strictly positive definite."""
-    vals = np.linalg.eigvalsh(s)
-    if vals[0] <= 1e-300:
-        return None
-    return float(np.log(vals).sum())
-
-
 def solve_sdp(
     c: np.ndarray,
     cones: list[ConeConstraint],
     x0: np.ndarray,
     *,
     gap_tol: float = 1e-9,
-    t0: float = 1.0,
-    mu_factor: float = 5.0,
-    max_newton: int = 200,
 ) -> tuple[np.ndarray, float]:
     """Minimize c.x subject to the cone constraints, from a strictly feasible x0.
 
-    Returns (x_opt, objective).  The barrier parameter grows geometrically
-    (gap shrinks by 1/mu_factor per outer step) until the duality-gap proxy
-    drops below gap_tol.
+    Returns (x_opt, objective).  The schedule is fixed: the barrier parameter
+    starts at t = 1 and grows by a factor 5 per outer step, each centering
+    step takes at most 200 Newton steps, and the solve stops once the
+    duality-gap proxy total_dim/t drops below gap_tol.
     """
     c = np.asarray(c, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
 
     def barrier_value(t_now: float, xx: np.ndarray) -> float | None:
+        """t c.x - sum_k log det S_k(x), or None unless every S_k(x) is positive definite."""
         total = t_now * float(c @ xx)
         for cone in cones:
-            ld = _logdet_pd(cone.evaluate(xx))
-            if ld is None:
+            vals = np.linalg.eigvalsh(cone.evaluate(xx))
+            if vals[0] <= 1e-300:
                 return None
-            total -= ld
+            total -= float(np.log(vals).sum())
         return total
 
-    if barrier_value(t0, x) is None:
+    t = 1.0
+    if barrier_value(t, x) is None:
         raise SolverFailure("starting point not strictly feasible")
     total_dim = sum(cone.a0.shape[0] for cone in cones)
-    t = t0
     while True:
         f_cur = barrier_value(t, x)
-        for _ in range(max_newton):
+        for _ in range(200):
             grad = t * c.copy()
             hess = np.zeros((len(c), len(c)))
             for cone in cones:
@@ -129,7 +122,7 @@ def solve_sdp(
             f_cur = f_new
         if total_dim / t <= gap_tol:
             return x, float(c @ x)
-        t *= mu_factor
+        t *= 5.0
         if t > 1e18:
             raise SolverFailure(
                 f"barrier parameter diverged at gap proxy {total_dim / t:.2e}"
@@ -141,12 +134,12 @@ def eliminate_equalities(
     cones: list[ConeConstraint],
     a_eq: np.ndarray,
     x0: np.ndarray,
-) -> tuple[np.ndarray, list[ConeConstraint], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[ConeConstraint], np.ndarray]:
     """Reparametrize x = x0 + N z so equalities A x = b hold identically.
 
     x0 must already satisfy A x0 = b; N is an orthonormal null-space basis of A.
-    Returns (c_z, cones_z, z0, x_offset, N) with z0 = 0 and the constant
-    objective shift left to the caller.
+    Returns (c_z, cones_z, N); z = 0 maps back to x0, and the constant
+    objective shift c.x0 is left to the caller.
     """
     a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
     _, sv, vt = np.linalg.svd(a_eq)
@@ -158,4 +151,4 @@ def eliminate_equalities(
         basis_z = np.tensordot(null.T, cone.basis, axes=(1, 0))
         cones_z.append(ConeConstraint(a0=a0, basis=basis_z))
     c_z = null.T @ c
-    return c_z, cones_z, np.zeros(null.shape[1]), x0, null
+    return c_z, cones_z, null

@@ -195,10 +195,21 @@ def scenario_from_dichotomic_povms(
     name: str = "",
     psd_tol: float = 1e-10,
 ) -> BellScenario:
-    """Two-outcome scenario where outcome index 0 carries sign -1, index 1 sign +1."""
+    """Two-outcome scenario where outcome index 0 carries sign -1, index 1 sign +1.
+
+    g must have shape (len(alice), len(bob)); marg_a and marg_b, when given,
+    hold one weight per setting of their party.
+    """
     g = np.asarray(g, dtype=float)
     alice = [list(s) for s in alice]
     bob = [list(s) for s in bob]
+    for name, weights, shape in (
+        ("g", g, (len(alice), len(bob))),
+        ("marg_a", marg_a, (len(alice),)),
+        ("marg_b", marg_b, (len(bob),)),
+    ):
+        if weights is not None and np.shape(weights) != shape:
+            raise ValueError(f"{name} has shape {np.shape(weights)}, expected {shape}")
     sign = (-1.0, 1.0)
     coeffs: dict[tuple[int, int, int, int], float] = {}
 

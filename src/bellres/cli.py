@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,17 +23,25 @@ I3322_REF_CR = 0.8418
 I3322_REF_ER = 0.8291
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return format(x, ".12g") if math.isfinite(x) else "nan"
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
 
 
 def _emit_csv(header: list[str], columns) -> None:
-    """Print one CSV row per entry of the equal-length columns."""
+    """Print one CSV row per entry of the equal-length columns.
+
+    Numbers print with 12 significant digits and non-finite ones as nan;
+    booleans print as true/false.
+    """
     print(",".join(header))
-    for row in zip(*(np.asarray(col).ravel().tolist() for col in columns)):
-        print(",".join(_fmt(v) for v in row))
+    cols = [np.asarray(col).ravel() for col in columns]
+    row_format = ",".join("%s" if col.dtype == bool else "%.12g" for col in cols)
+    values = [
+        _BOOL_TEXT[col.astype(np.intp)] if col.dtype == bool
+        else np.where(np.isfinite(col), col, np.nan)
+        for col in cols
+    ]
+    for row in zip(*(col.tolist() for col in values)):
+        print(row_format % row)
 
 
 def _curve_columns(curve: np.recarray) -> list[np.ndarray]:
@@ -57,7 +64,7 @@ def _parse_matrix(flat, dim: int, where: str) -> np.ndarray:
 
 
 def load_scenario(path: str):
-    """Parse a scenario JSON file; returns (operator, local_bound, dims)."""
+    """Parse a scenario JSON file; returns (operator, local_bound)."""
     with open(path) as fh:
         doc = json.load(fh)
     if ("measurements" in doc) == ("correlation" in doc):
@@ -72,7 +79,6 @@ def load_scenario(path: str):
             [bell.observable_from_bloch(b) for b in s.bloch_b],
             s.g,
         )
-        dims = (2, 2)
     else:
         da, db = int(doc["dims"][0]), int(doc["dims"][1])
         meas = doc["measurements"]
@@ -85,20 +91,15 @@ def load_scenario(path: str):
             key = (int(entry["a"]), int(entry["b"]), int(entry["x"]), int(entry["y"]))
             coeffs[key] = coeffs.get(key, 0.0) + float(entry["c"])
         scenario = bell.BellScenario(alice=alice, bob=bob, coefficients=coeffs)
-        dims = (da, db)
-    return bell.build_bell_operator(scenario), bell.local_bound(scenario), dims
+    return bell.build_bell_operator(scenario), bell.local_bound(scenario)
 
 
 def _builtin(name: str):
-    if name == "chsh-c4":
-        s = bell.chsh_scenario()
-        return bell.build_bell_operator(s), bell.local_bound(s), (2, 2)
-    if name == "i3322":
-        s = bell.i3322_fixture()
-        return bell.build_bell_operator(s), bell.local_bound(s), (2, 2)
     if name == "steering-f2":
-        op, lb = bell.steering_f2_scenario()
-        return op, lb, (2, 2)
+        return bell.steering_f2_scenario()
+    if name in ("chsh-c4", "i3322"):
+        s = bell.chsh_scenario() if name == "chsh-c4" else bell.i3322_fixture()
+        return bell.build_bell_operator(s), bell.local_bound(s)
     raise ValueError(f"unknown builtin {name!r}")
 
 
@@ -111,7 +112,7 @@ def _resolve_operator(args):
 
 
 def cmd_bound(args) -> int:
-    op, local, dims = _resolve_operator(args)
+    op, local = _resolve_operator(args)
     d = op.shape[0]
     spec = eig_hermitian(op)
     mu = spec.values

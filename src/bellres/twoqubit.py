@@ -8,6 +8,7 @@ and for the three-setting experiment where the closed forms do not apply.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,46 +280,51 @@ def er_ppt_solver(rho: DensityState, *, gap_tol: float = 1e-9) -> float:
     return max(0.0, float(value))
 
 
+def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float):
+    """Joint SDP over (rho, y): min c_y.y s.t. rho >= 0, Tr(rho) = 1, Tr(rho I) = target.
+
+    y_cones lists the further cones as (rho block, y block) basis pairs over
+    the 16 rho parameters and the len(c_y) y parameters.  The solve starts
+    from the strictly feasible rho0 = t v1 v1^dag + (1 - t) 1/4 on the
+    target, with y = y_start(rho0).  Returns (rho parameters, objective).
+    """
+    spec = eig_hermitian(op)
+    mu = spec.values
+    mean = float(mu.mean())
+    if not mean - 1e-12 <= target < mu[0] - 1e-12:
+        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mean}, {mu[0]})")
+    n, k = len(_H4), len(c_y)
+    # x = (rho params, y params)
+    cones = [
+        ConeConstraint(a0=np.zeros((4, 4), dtype=complex), basis=np.concatenate(pair))
+        for pair in [(_H4, np.zeros((k, 4, 4), dtype=complex)), *y_cones]
+    ]
+    c = np.concatenate([np.zeros(n), c_y])
+    bell = np.einsum("kij,ji->k", _H4, op).real
+    # Tr(rho) = 1 and Tr(rho I) = target hold at x0 and along the null space of a_eq
+    a_eq = np.stack([np.concatenate([_TRACE_H4, np.zeros(k)]), np.concatenate([bell, np.zeros(k)])])
+    t_mix = (target - mean) / (mu[0] - mean)
+    v1 = spec.vectors[:, 0]
+    rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * np.eye(4) / 4.0
+    x0 = np.concatenate([params_from_hermitian(rho0, _H4), y_start(rho0)])
+    c_z, cones_z, null = barrier.eliminate_equalities(c, cones, a_eq, x0)
+    z, _ = barrier.solve_sdp(c_z, cones_z, np.zeros(null.shape[1]), gap_tol=gap_tol)
+    x = x0 + null @ z
+    return x[:n], float(c @ x)
+
+
 def er_min_for_value(op, target: float, *, gap_tol: float = 1e-9) -> tuple[float, DensityState]:
     """Minimal entanglement robustness over all states with Tr(rho I) = target.
 
     Joint SDP over (rho, sigma): min Tr(sigma) s.t. rho >= 0, Tr(rho) = 1,
     Tr(rho I) = target, sigma >= 0, (rho + sigma)^{T_B} >= 0.
     """
-    m = np.asarray(op, dtype=complex)
-    spec = eig_hermitian(m)
-    mu = spec.values
-    mean = float(mu.mean())
-    if not mean - 1e-12 <= target < mu[0] - 1e-12:
-        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mean}, {mu[0]})")
-    n = len(_H4)
-    zeros = np.zeros((4, 4), dtype=complex)
-    pad = np.zeros_like(_H4)
-    # x = (rho params, sigma params)
-    rho_basis = np.concatenate([_H4, pad])
-    sigma_basis = np.concatenate([pad, _H4])
-    ppt_basis = np.concatenate([_H4_PT, _H4_PT])
-    cones = [
-        ConeConstraint(a0=zeros, basis=rho_basis),
-        ConeConstraint(a0=zeros, basis=sigma_basis),
-        ConeConstraint(a0=zeros, basis=ppt_basis),
-    ]
-    c = np.concatenate([np.zeros(n), _TRACE_H4])
-    bell = np.einsum("kij,ji->k", _H4, m).real
-    # Tr(rho) = 1 and Tr(rho I) = target hold at x0 and along the null space of a_eq
-    a_eq = np.stack([np.concatenate([_TRACE_H4, np.zeros(n)]), np.concatenate([bell, np.zeros(n)])])
-    # strictly feasible start: Gibbs-like mixture hitting the target, sigma = 1
-    t_mix = (target - mean) / (mu[0] - mean)
-    v1 = spec.vectors[:, 0]
-    rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * np.eye(4) / 4.0
-    x0 = np.concatenate(
-        [params_from_hermitian(rho0, _H4), params_from_hermitian(np.eye(4, dtype=complex), _H4)]
+    sigma_cones = [(np.zeros_like(_H4), _H4), (_H4_PT, _H4_PT)]
+    sigma0 = params_from_hermitian(np.eye(4, dtype=complex), _H4)
+    rho_params, value = _bell_value_program(
+        np.asarray(op, dtype=complex), target, sigma_cones, _TRACE_H4, lambda rho0: sigma0, gap_tol
     )
-    c_z, cones_z, z0, x_off, null = barrier.eliminate_equalities(c, cones, a_eq, x0)
-    z, _ = barrier.solve_sdp(c_z, cones_z, z0, gap_tol=gap_tol)
-    x = x_off + null @ z
-    rho = hermitian_from_params(x[:n], _H4)
-    value = float(c @ x)
+    rho = hermitian_from_params(rho_params, _H4)
     return max(0.0, value), density_state(rho, (2, 2), tol=1e-7)
 
 
@@ -373,37 +379,14 @@ def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9) -> float:
 
 def cr_min_for_value(op, target: float, basis: np.ndarray, *, gap_tol: float = 1e-8) -> float:
     """Minimal coherence robustness (fixed basis) over states with Tr(rho I) = target."""
-    m = np.asarray(op, dtype=complex)
     u = np.asarray(basis, dtype=complex)
-    rot_op = u.conj().T @ m @ u  # work in the rotated frame
-    spec = eig_hermitian(rot_op)
-    mu = spec.values
-    mean = float(mu.mean())
-    if not mean - 1e-12 <= target < mu[0] - 1e-12:
-        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1)")
-    n = len(_H4)
+    rot_op = u.conj().T @ np.asarray(op, dtype=complex) @ u
     diag_basis = np.array([np.diag(row) for row in np.eye(4, dtype=complex)])
-    pad_rho = np.zeros((4, 4, 4), dtype=complex)
-    rho_basis = np.concatenate([_H4, pad_rho])
-    gap_basis = np.concatenate([-_H4, diag_basis])
-    zeros = np.zeros((4, 4), dtype=complex)
-    cones = [
-        ConeConstraint(a0=zeros, basis=rho_basis),
-        ConeConstraint(a0=zeros, basis=gap_basis),
-    ]
-    c = np.concatenate([np.zeros(n), np.ones(4)])
-    bell = np.einsum("kij,ji->k", _H4, rot_op).real
-    a_eq = np.stack(
-        [np.concatenate([_TRACE_H4, np.zeros(4)]), np.concatenate([bell, np.zeros(4)])]
+    _, value = _bell_value_program(
+        rot_op, target, [(-_H4, diag_basis)], np.ones(4),
+        lambda rho0: np.real(np.diag(rho0)) + 1.0, gap_tol,
     )
-    t_mix = (target - mean) / (mu[0] - mean)
-    v1 = spec.vectors[:, 0]
-    rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * np.eye(4) / 4.0
-    x0 = np.concatenate([params_from_hermitian(rho0, _H4), np.real(np.diag(rho0)) + 1.0])
-    c_z, cones_z, z0, x_off, null = barrier.eliminate_equalities(c, cones, a_eq, x0)
-    z, _ = barrier.solve_sdp(c_z, cones_z, z0, gap_tol=gap_tol)
-    x = x_off + null @ z
-    return max(0.0, float(c @ x) - 1.0)
+    return max(0.0, value - 1.0)
 
 
 def cr_min_over_product_bases(
@@ -426,20 +409,15 @@ def cr_min_over_product_bases(
     if target_op is not None:
         if target is None:
             raise ValueError("target value required together with target_op")
-
-        def objective(angles, gap_tol=1e-6):
-            try:
-                return cr_min_for_value(target_op, target, product_basis_matrix(angles), gap_tol=gap_tol)
-            except SolverFailure:
-                return np.inf
-
+        program = functools.partial(cr_min_for_value, target_op, target)
     else:
+        program = functools.partial(cr_fixed_basis, rho)
 
-        def objective(angles, gap_tol=1e-6):
-            try:
-                return cr_fixed_basis(rho, product_basis_matrix(angles), gap_tol=gap_tol)
-            except SolverFailure:
-                return np.inf
+    def objective(angles, gap_tol=1e-6):
+        try:
+            return program(product_basis_matrix(angles), gap_tol=gap_tol)
+        except SolverFailure:
+            return np.inf
 
     best_val = np.inf
     best_angles = np.zeros(6)

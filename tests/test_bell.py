@@ -68,6 +68,20 @@ class TestBuildBellOperator:
         s = scenario_from_observables([PAULI_Z], [PAULI_Z], [[1.0]])
         assert np.allclose(build_bell_operator(s), tensor(PAULI_Z, PAULI_Z), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n_settings, g, marg_a, message",
+        [
+            (2, [[1.0]], None, "g has shape"),
+            (1, [[1.0, 1.0], [1.0, 1.0]], None, "g has shape"),
+            (2, np.ones((2, 2)), [1, 1, 1], "marg_a has shape"),
+        ],
+        ids=["g-too-small", "g-too-large", "marg-a-too-long"],
+    )
+    def test_weights_must_match_settings(self, n_settings, g, marg_a, message):
+        obs = [PAULI_Z, PAULI_X][:n_settings]
+        with pytest.raises(ValueError, match=message):
+            local_bound(scenario_from_observables(obs, obs, g, marg_a=marg_a))
+
 
 class TestBuildCorrelationOperator:
     def test_chsh_equivalence(self):

@@ -285,9 +285,16 @@ class TestErSolvers:
         assert e_r == pytest.approx(2 * lam1 - 1, abs=1e-5)
         assert np.trace(rho.matrix @ chsh_op).real == pytest.approx(2.2, abs=1e-6)
 
-    def test_joint_min_infeasible(self, chsh_op):
+    # CHSH: Tr(I)/d = 0 and mu1 = 2 sqrt 2
+    @pytest.mark.parametrize("target", [3.0, -0.5], ids=["above-mu1", "below-mean"])
+    @pytest.mark.parametrize(
+        "program",
+        [er_min_for_value, lambda op, target: cr_min_for_value(op, target, np.eye(4))],
+        ids=["er", "cr"],
+    )
+    def test_joint_min_infeasible(self, chsh_op, program, target):
         with pytest.raises(Infeasible):
-            er_min_for_value(chsh_op, 3.0)
+            program(chsh_op, target)
 
 
 class TestCrSolvers:
