@@ -35,7 +35,6 @@ class BellScenario:
     alice: list[Povm]
     bob: list[Povm]
     coefficients: dict[tuple[int, int, int, int], float]
-    name: str = ""
     psd_tol: float = 1e-10  # slack for POVM elements printed at finite precision
 
     def __post_init__(self):
@@ -62,7 +61,6 @@ class CorrelationScenario:
     g: np.ndarray
     bloch_a: np.ndarray
     bloch_b: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
@@ -172,9 +170,7 @@ def projective_qubit_povm(observable) -> Povm:
     return [(eye - m) / 2, (eye + m) / 2]
 
 
-def scenario_from_observables(
-    obs_a, obs_b, g, marg_a=None, marg_b=None, name: str = ""
-) -> BellScenario:
+def scenario_from_observables(obs_a, obs_b, g, marg_a=None, marg_b=None) -> BellScenario:
     """Build a POVM-form scenario from +/-1 observables and correlation weights.
 
     g[x][y] weights <A_x B_y>; marg_a[x] weights <A_x>, marg_b[y] weights
@@ -183,7 +179,7 @@ def scenario_from_observables(
     """
     alice = [projective_qubit_povm(a) for a in obs_a]
     bob = [projective_qubit_povm(b) for b in obs_b]
-    return scenario_from_dichotomic_povms(alice, bob, g, marg_a, marg_b, name=name)
+    return scenario_from_dichotomic_povms(alice, bob, g, marg_a, marg_b)
 
 
 def scenario_from_dichotomic_povms(
@@ -192,7 +188,6 @@ def scenario_from_dichotomic_povms(
     g,
     marg_a=None,
     marg_b=None,
-    name: str = "",
     psd_tol: float = 1e-10,
 ) -> BellScenario:
     """Two-outcome scenario where outcome index 0 carries sign -1, index 1 sign +1.
@@ -235,7 +230,7 @@ def scenario_from_dichotomic_povms(
         for y, w in enumerate(marg_b):
             for b in range(2):
                 add((0, b, x_dummy, y), w * sign[b])
-    return BellScenario(alice=alice, bob=bob, coefficients=coeffs, name=name, psd_tol=psd_tol)
+    return BellScenario(alice=alice, bob=bob, coefficients=coeffs, psd_tol=psd_tol)
 
 
 def chsh_scenario(angle: float | None = None) -> BellScenario:
@@ -248,7 +243,7 @@ def chsh_scenario(angle: float | None = None) -> BellScenario:
     a2 = PAULI_X if angle is None else np.cos(angle) * PAULI_Z + np.sin(angle) * PAULI_X
     obs_a = [PAULI_Z, a2]
     obs_b = [sq * (PAULI_Z + PAULI_X), sq * (PAULI_Z - PAULI_X)]
-    return scenario_from_observables(obs_a, obs_b, [[1, 1], [1, -1]], name="chsh-c4")
+    return scenario_from_observables(obs_a, obs_b, [[1, 1], [1, -1]])
 
 
 _I3322_ALICE = [
@@ -292,7 +287,6 @@ def i3322_fixture() -> BellScenario:
         _I3322_G,
         marg_a=_I3322_MARG_A,
         marg_b=_I3322_MARG_B,
-        name="i3322",
         psd_tol=5e-4,
     )
 

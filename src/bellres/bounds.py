@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, OutOfRange
-from .linalg import DensityState, Spectrum, density_state
+from .errors import DimMismatch, Infeasible, OutOfRange
+from .linalg import DensityState, Spectrum, density_state, eig_hermitian, state_functionals
 
 _NEG_TOL = 1e-12
 
@@ -21,11 +21,13 @@ _NEG_TOL = 1e-12
 class RankSolution:
     """Optimal rank-r spectrum together with the Bell value it attains."""
 
-    rank: int
     lambdas: np.ndarray
     value: float
-    resource_kind: str  # "probustness" | "renyi2" | "relent"
     resource: float
+
+    @property
+    def rank(self) -> int:
+        return len(self.lambdas)
 
 
 def _prep_mu(mu, d: int) -> np.ndarray:
@@ -35,6 +37,62 @@ def _prep_mu(mu, d: int) -> np.ndarray:
     return mu
 
 
+def _clamp_target(mu: np.ndarray, target: float) -> float:
+    """target clamped into [Tr(I)/d, mu1]; Infeasible if it lies outside by more than 1e-12."""
+    mean = float(mu.mean())
+    if target > mu[0] + 1e-12:
+        raise Infeasible(f"target {target} exceeds the top eigenvalue {mu[0]}")
+    if target < mean - 1e-12:
+        raise Infeasible(
+            f"target {target} below Tr(I)/d = {mean}; use ascending=True for the other branch"
+        )
+    return min(max(target, mean), float(mu[0]))
+
+
+def _top_space(mu: np.ndarray) -> np.ndarray:
+    """Uniform weights on the top eigenspace of mu: the least pure state at Bell value mu1."""
+    n_deg = int(np.sum(mu[0] - mu <= 1e-12 * (1.0 + abs(mu[0]))))
+    return np.full(n_deg, 1.0 / n_deg)
+
+
+def _greedy(lam1: float, r: int) -> np.ndarray:
+    """r - 1 weights lam1 followed by the remainder 1 - (r - 1) lam1."""
+    lam = np.full(r, lam1)
+    lam[-1] = 1.0 - (r - 1) * lam1
+    return lam
+
+
+def _lagrange(mu: np.ndarray, value_at) -> tuple[float, np.ndarray]:
+    """Lagrange rank ansatz: the first rank r = d, d-1, ... with nonnegative weights.
+
+    On the top r levels, with g and h the sum and the sum of squares of
+    mu[:r] and disc = r h - g^2, the stationary weights at Bell value t are
+    ((r t - g) mu_k + h - g t) / disc.  value_at(r, g, disc) gives t, or None
+    to skip the rank; ranks whose top levels are degenerate (disc ~ 0) are
+    skipped too.  Returns (t, weights).
+    """
+    for r in range(len(mu), 0, -1):
+        g = float(mu[:r].sum())
+        h = float((mu[:r] ** 2).sum())
+        disc = h * r - g * g
+        if disc <= 1e-12 * (1.0 + h * r):
+            continue
+        value = value_at(r, g, disc)
+        if value is None:
+            continue
+        lam = ((r * value - g) * mu[:r] + h - g * value) / disc
+        if lam.min() >= -_NEG_TOL:
+            lam = np.clip(lam, 0.0, None)
+            return value, lam / lam.sum()
+    raise Infeasible("no rank admits nonnegative Lagrange weights")  # pragma: no cover
+
+
+def _assemble(vectors: np.ndarray, weights: np.ndarray, dims) -> DensityState:
+    """The state sum_k weights_k v_k v_k^dag over the columns v_k of vectors."""
+    rho = (vectors * weights) @ vectors.conj().T
+    return density_state((rho + rho.conj().T) / 2, dims)
+
+
 def _below_mean(solve, mu, target: float, d: int) -> RankSolution:
     """The branch below Tr(I)/d: the same program on the negated spectrum.
 
@@ -42,7 +100,7 @@ def _below_mean(solve, mu, target: float, d: int) -> RankSolution:
     spectrum -mu[::-1]; the returned weights pair with mu in ascending order.
     """
     sol = solve(-np.asarray(mu, dtype=float)[::-1], -target, d)
-    return RankSolution(sol.rank, sol.lambdas, target, sol.resource_kind, sol.resource)
+    return RankSolution(sol.lambdas, target, sol.resource)
 
 
 def max_value_given_probustness(mu, p_r: float, d: int) -> RankSolution:
@@ -56,11 +114,8 @@ def max_value_given_probustness(mu, p_r: float, d: int) -> RankSolution:
         raise OutOfRange(f"P_R must lie in [0, {d - 1}], got {p_r}")
     lam1 = (1.0 + p_r) / d
     lam1 = min(max(lam1, 1.0 / d), 1.0)
-    r = int(np.ceil(1.0 / lam1 - 1e-12))
-    lam = np.full(r, lam1)
-    lam[-1] = 1.0 - (r - 1) * lam1
-    value = float(mu[:r] @ lam)
-    return RankSolution(rank=r, lambdas=lam, value=value, resource_kind="probustness", resource=p_r)
+    lam = _greedy(lam1, int(np.ceil(1.0 / lam1 - 1e-12)))
+    return RankSolution(lam, float(mu[: len(lam)] @ lam), p_r)
 
 
 def min_lambda1_for_value(mu, target: float, d: int, *, ascending: bool = False) -> RankSolution:
@@ -75,20 +130,10 @@ def min_lambda1_for_value(mu, target: float, d: int, *, ascending: bool = False)
     if ascending:
         return _below_mean(min_lambda1_for_value, mu, target, d)
     mu = _prep_mu(mu, d)
-    mean = float(mu.mean())
-    lo, hi = (mean, float(mu[0]))
-    if target > hi + 1e-12:
-        raise Infeasible(f"target {target} exceeds the top eigenvalue {hi}")
-    if target < lo - 1e-12:
-        raise Infeasible(
-            f"target {target} below Tr(I)/d = {lo}; use ascending=True for the other branch"
-        )
-    target = min(max(target, lo), hi)
+    target = _clamp_target(mu, target)
     if abs(target - mu[0]) <= 1e-12:
-        # uniform weight on the (possibly degenerate) top eigenspace
-        n_deg = int(np.sum(mu[0] - mu <= 1e-12 * (1.0 + abs(mu[0]))))
-        lam = np.full(n_deg, 1.0 / n_deg)
-        return RankSolution(n_deg, lam, float(mu[0]), "probustness", d / n_deg - 1.0)
+        lam = _top_space(mu)
+        return RankSolution(lam, float(mu[0]), d / len(lam) - 1.0)
     for r in range(2, d + 1):
         denom = float(mu[:r - 1].sum() - (r - 1) * mu[r - 1])
         if denom <= 1e-15:
@@ -98,18 +143,9 @@ def min_lambda1_for_value(mu, target: float, d: int, *, ascending: bool = False)
         upper = 1.0 / (r - 1)
         if 1.0 / r - 1e-12 <= lam1 < upper + 1e-12:
             lam1 = min(max(lam1, 1.0 / r), 1.0)
-            lam = np.full(r, lam1)
-            lam[-1] = 1.0 - (r - 1) * lam1
-            return RankSolution(r, lam, target, "probustness", d * lam1 - 1.0)
+            return RankSolution(_greedy(lam1, r), target, d * lam1 - 1.0)
     # numerically at the maximally mixed end
-    lam = np.full(d, 1.0 / d)
-    return RankSolution(d, lam, target, "probustness", 0.0)
-
-
-def _rank_gh(mu: np.ndarray, r: int) -> tuple[float, float]:
-    g = float(mu[:r].sum())
-    h = float((mu[:r] ** 2).sum())
-    return g, h
+    return RankSolution(np.full(d, 1.0 / d), target, 0.0)
 
 
 def max_value_given_renyi2(mu, p2: float, d: int) -> RankSolution:
@@ -118,27 +154,19 @@ def max_value_given_renyi2(mu, p2: float, d: int) -> RankSolution:
     if not -1e-12 <= p2 <= np.log2(d) + 1e-12:
         raise OutOfRange(f"P2 must lie in [0, log2 {d}], got {p2}")
     purity = min(max(2.0**p2 / d, 1.0 / d), 1.0)
-    n_deg = int(np.sum(mu[0] - mu <= 1e-12 * (1.0 + abs(mu[0]))))
+    n_deg = len(_top_space(mu))
     if purity >= 1.0 / n_deg - 1e-12:
         # enough purity to sit entirely on the top (possibly degenerate) space
         r = max(1, int(np.floor(1.0 / purity + 1e-9)))
-        r = min(r, n_deg)
-        lam = _two_level(purity, r)
-        return RankSolution(len(lam), lam, float(mu[0]), "renyi2", p2)
-    for r in range(d, 0, -1):
+        return RankSolution(_two_level(purity, min(r, n_deg)), float(mu[0]), p2)
+
+    def value_at(r: int, g: float, disc: float) -> float | None:
         if purity < 1.0 / r - 1e-12:
-            continue
-        g, h = _rank_gh(mu, r)
-        disc = h * r - g * g
-        if disc <= 1e-12 * (1.0 + h * r):
-            continue
-        value = (g + np.sqrt(max(0.0, (r * purity - 1.0) * disc))) / r
-        lam = ((r * value - g) * mu[:r] + h - g * value) / disc
-        if lam.min() >= -_NEG_TOL:
-            lam = np.clip(lam, 0.0, None)
-            lam /= lam.sum()
-            return RankSolution(r, lam, float(value), "renyi2", p2)
-    raise Infeasible(f"no feasible rank for purity {purity}")  # pragma: no cover
+            return None
+        return (g + np.sqrt(max(0.0, (r * purity - 1.0) * disc))) / r
+
+    value, lam = _lagrange(mu, value_at)
+    return RankSolution(lam, float(value), p2)
 
 
 def _two_level(purity: float, r: int) -> np.ndarray:
@@ -146,21 +174,14 @@ def _two_level(purity: float, r: int) -> np.ndarray:
     if abs(purity - 1.0 / r) <= 1e-12:
         return np.full(r, 1.0 / r)
     # r equal weights plus one smaller weight reproduce any purity in (1/(r+1), 1/r]
-    # solve r*a^2 + (1 - r*a)^2 = purity with a >= 1/(r+1)
     rr = r + 1 if purity < 1.0 / r else r
-    if rr == 1:
-        return np.array([1.0])
-    # weights: (rr-1) copies of a, remainder 1-(rr-1)a
+    # (rr-1) copies of a and the remainder: k*a^2 + (1-k*a)^2 = purity, a >= 1/rr
     k = rr - 1
-    # k*a^2 + (1-k*a)^2 = purity
     qa = k * (k + 1)
     qb = -2.0 * k
     qc = 1.0 - purity
     a = (-qb + np.sqrt(max(0.0, qb * qb - 4 * qa * qc))) / (2 * qa)
-    lam = np.full(rr, a)
-    lam[-1] = 1.0 - k * a
-    lam = np.sort(lam)[::-1]
-    return lam
+    return np.sort(_greedy(a, rr))[::-1]
 
 
 def min_renyi2_for_value(mu, target: float, d: int, *, ascending: bool = False) -> RankSolution:
@@ -173,44 +194,22 @@ def min_renyi2_for_value(mu, target: float, d: int, *, ascending: bool = False) 
     if ascending:
         return _below_mean(min_renyi2_for_value, mu, target, d)
     mu = _prep_mu(mu, d)
-    mean = float(mu.mean())
-    if target > mu[0] + 1e-12:
-        raise Infeasible(f"target {target} exceeds the top eigenvalue {mu[0]}")
-    if target < mean - 1e-12:
-        raise Infeasible(f"target {target} below Tr(I)/d = {mean}")
-    target = min(max(target, mean), float(mu[0]))
-    n_deg = int(np.sum(mu[0] - mu <= 1e-12 * (1.0 + abs(mu[0]))))
+    target = _clamp_target(mu, target)
     if abs(target - mu[0]) <= 1e-12:
-        lam = np.full(n_deg, 1.0 / n_deg)
-        purity = 1.0 / n_deg
-        return RankSolution(n_deg, lam, float(mu[0]), "renyi2", float(np.log2(d * purity)))
-    for r in range(d, 0, -1):
-        g, h = _rank_gh(mu, r)
-        disc = h * r - g * g
-        if disc <= 1e-12 * (1.0 + h * r):
-            continue
-        beta = 2.0 * (target * r - g) / disc
-        alpha = (2.0 - beta * g) / r
-        lam = (beta * mu[:r] + alpha) / 2.0
-        if lam.min() >= -_NEG_TOL:
-            lam = np.clip(lam, 0.0, None)
-            lam /= lam.sum()
-            purity = float((lam**2).sum())
-            return RankSolution(r, lam, target, "renyi2", float(np.log2(d * purity)))
-    raise Infeasible(f"no feasible rank for target {target}")  # pragma: no cover
+        lam = _top_space(mu)
+        return RankSolution(lam, float(mu[0]), float(np.log2(d * lam[0])))
+    _, lam = _lagrange(mu, lambda r, g, disc: target)
+    return RankSolution(lam, target, float(np.log2(d * (lam**2).sum())))
 
 
-def min_relent_purity_for_value(
-    op, target: float, *, tol: float = 1e-10, max_iter: int = 200
-) -> tuple[float, float, DensityState]:
+def min_relent_purity_for_value(op, target: float) -> tuple[float, float, DensityState]:
     """Minimal relative entropy of purity log d - S(rho) at Tr(rho I) = target.
 
     The entropy maximizer under a linear constraint is the Gibbs state
     rho(beta) = e^{beta I} / Tr e^{beta I}; beta >= 0 is found by bisection on
-    the monotone constraint residual.
+    the monotone constraint residual, stopping once it is within 1e-10 or
+    after 200 halvings.
     """
-    from .linalg import eig_hermitian, state_functionals
-
     spec = eig_hermitian(op)
     mu = spec.values
     d = len(mu)
@@ -228,33 +227,24 @@ def min_relent_purity_for_value(
     while expectation(hi) < target and hi < 1e8:
         hi *= 2.0
     lo = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if expectation(mid) < target:
             lo = mid
         else:
             hi = mid
-        if abs(expectation(0.5 * (lo + hi)) - target) <= tol:
+        if abs(expectation(0.5 * (lo + hi)) - target) <= 1e-10:
             break
     beta = 0.5 * (lo + hi)
     w = np.exp(beta * (mu - mu[0]))
-    w /= w.sum()
-    v = spec.vectors
-    rho = (v * w) @ v.conj().T
-    rho = (rho + rho.conj().T) / 2
-    state = density_state(rho, (d,))
+    state = _assemble(spec.vectors, w / w.sum(), (d,))
     s_p = float(np.log(d) - state_functionals(state).entropy)
     return s_p, float(beta), state
 
 
 def construct_optimal_state(sol: RankSolution, basis: Spectrum, dims=None) -> DensityState:
     """Assemble the optimal state from a rank solution and the operator basis."""
-    from .errors import DimMismatch
-
     d = basis.dim
     if sol.rank > d:
         raise DimMismatch(f"rank {sol.rank} exceeds dimension {d}")
-    v = basis.vectors[:, : sol.rank]
-    rho = (v * sol.lambdas) @ v.conj().T
-    rho = (rho + rho.conj().T) / 2
-    return density_state(rho, dims if dims is not None else (d,))
+    return _assemble(basis.vectors[:, : sol.rank], sol.lambdas, dims if dims is not None else (d,))

@@ -124,19 +124,17 @@ def cmd_bound(args) -> int:
         "measure": args.measure,
     }
     try:
-        if args.measure == "probustness":
-            sol = bounds.min_lambda1_for_value(mu, target, d)
-            report.update(rank=sol.rank, lambdas=[float(x) for x in sol.lambdas],
-                          resource_value=float(sol.resource))
-        elif args.measure == "renyi2":
-            sol = bounds.min_renyi2_for_value(mu, target, d)
-            report.update(rank=sol.rank, lambdas=[float(x) for x in sol.lambdas],
-                          resource_value=float(sol.resource))
-        else:
+        if args.measure == "relent":
             s_p, beta, state = bounds.min_relent_purity_for_value(op, target)
             lam = np.linalg.eigvalsh(state.matrix)[::-1]
             report.update(rank=d, lambdas=[float(x) for x in lam],
                           resource_value=float(s_p), beta=float(beta))
+        else:
+            solve = (bounds.min_lambda1_for_value if args.measure == "probustness"
+                     else bounds.min_renyi2_for_value)
+            sol = solve(mu, target, d)
+            report.update(rank=sol.rank, lambdas=[float(x) for x in sol.lambdas],
+                          resource_value=float(sol.resource))
     except Infeasible as exc:
         report.update(feasible=False, reason=str(exc))
         print(json.dumps(report, indent=2))

@@ -16,7 +16,6 @@ from scipy.optimize import minimize
 
 from .bounds import RankSolution
 from .errors import InfeasibleConstraint
-from .linalg import DensityState, density_state
 
 DEFAULT_SEED = 0xB311
 _REJECTION_CAP = 10**7
@@ -37,7 +36,7 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
 class SamplerConfig:
     seed: int = DEFAULT_SEED
     count: int = 1000
-    constraint: str = "none"  # "none" | "fixed-lambda1" | "fixed-linear-purity"
+    constraint: str = "none"  # "none" | "fixed-lambda1"
     value: float = 0.0
 
 
@@ -88,72 +87,16 @@ def _spectra_fixed_lambda1(rng: np.random.Generator, n: int, d: int, lam1: float
     return out
 
 
-def _spectra_fixed_purity(rng: np.random.Generator, n: int, d: int, purity: float) -> np.ndarray:
-    """Spectra with Tr(rho^2) = purity: random simplex direction, radial solve."""
-    if not 1.0 / d - 1e-12 <= purity <= 1.0 + 1e-12:
-        raise InfeasibleConstraint(f"purity must lie in [1/{d}, 1], got {purity}")
-    purity = min(max(purity, 1.0 / d), 1.0)
-    base = rng.dirichlet(np.ones(d), size=n)
-    uniform = np.full(d, 1.0 / d)
-    # lam(t) = t*base + (1-t)*uniform has purity monotone in t in [0, t_max]
-    out = np.empty((n, d))
-    for i in range(n):
-        direction = base[i] - uniform
-        a = float(direction @ direction)
-        if a < 1e-30:
-            out[i] = uniform
-            continue
-        # purity(t) = 1/d + a t^2; extend t beyond 1 while staying nonneg
-        t = np.sqrt(max(0.0, (purity - 1.0 / d) / a))
-        lam = uniform + t * direction
-        if lam.min() < 0.0:
-            # walk to the simplex boundary instead, then renormalize direction
-            t_edge = np.min(-uniform[direction < 0] / direction[direction < 0])
-            lam = uniform + t_edge * direction
-            # boundary point has some purity <= requested; mix with a vertex
-            lam = _pull_to_purity(lam, purity)
-        out[i] = lam
-    return out
-
-
-def _pull_to_purity(lam: np.ndarray, purity: float) -> np.ndarray:
-    """Mix a spectrum with the deterministic vertex at its argmax to raise purity."""
-    vertex = np.zeros_like(lam)
-    vertex[np.argmax(lam)] = 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        cand = (1 - mid) * lam + mid * vertex
-        if float(cand @ cand) < purity:
-            lo = mid
-        else:
-            hi = mid
-    return (1 - 0.5 * (lo + hi)) * lam + 0.5 * (lo + hi) * vertex
-
-
 def sample_spectra(cfg: SamplerConfig, d: int, rng: np.random.Generator | None = None) -> np.ndarray:
     rng = rng or default_rng(cfg.seed)
     if cfg.constraint == "none":
         return rng.dirichlet(np.ones(d), size=cfg.count)
     if cfg.constraint == "fixed-lambda1":
         return _spectra_fixed_lambda1(rng, cfg.count, d, cfg.value)
-    if cfg.constraint == "fixed-linear-purity":
-        return _spectra_fixed_purity(rng, cfg.count, d, cfg.value)
     raise InfeasibleConstraint(f"unknown constraint {cfg.constraint!r}")
 
 
-def sample_constrained_states(cfg: SamplerConfig, d: int):
-    """Yield DensityStates satisfying the configured spectral constraint."""
-    rng = default_rng(cfg.seed)
-    spectra = sample_spectra(cfg, d, rng)
-    units = _random_unitaries(rng, cfg.count, d)
-    for lam, u in zip(spectra, units):
-        rho = (u * lam) @ u.conj().T
-        rho = (rho + rho.conj().T) / 2
-        yield density_state(rho, (d,))
-
-
-def sample_max_expectation(op, cfg: SamplerConfig, *, chunk: int = 20000) -> float:
+def sample_max_expectation(op, cfg: SamplerConfig) -> float:
     """Max of Tr(rho I) over the sampled constrained states (vectorized)."""
     op = np.asarray(op, dtype=complex)
     d = op.shape[0]
@@ -161,7 +104,7 @@ def sample_max_expectation(op, cfg: SamplerConfig, *, chunk: int = 20000) -> flo
     best = -np.inf
     remaining = cfg.count
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(20000, remaining)  # chunks bound the memory of the batched unitaries
         sub = SamplerConfig(cfg.seed, n, cfg.constraint, cfg.value)
         spectra = sample_spectra(sub, d, rng)
         units = _random_unitaries(rng, n, d)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import barrier
 from .barrier import ConeConstraint, hermitian_basis, hermitian_from_params, params_from_hermitian
-from .bounds import min_lambda1_for_value
+from .bounds import construct_optimal_state, min_lambda1_for_value
 from .errors import Infeasible, NotBellDiagonal, OutOfRange, SolverFailure
 from .linalg import DensityState, Spectrum, density_state, eig_hermitian, partial_transpose
 
@@ -82,46 +82,23 @@ class ResourceReport:
             )
 
 
-def _reduced_traces(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = vec.reshape(2, 2)
-    return m @ m.conj().T, m.T @ m.conj()
-
-
-def is_bell_diagonal(op, *, tol: float = 1e-8) -> tuple[bool, Spectrum]:
+def is_bell_diagonal(op) -> tuple[bool, Spectrum]:
     """Whether a 4x4 Hermitian operator is diagonal in a maximally entangled basis.
 
-    Non-degenerate eigenvectors are tested directly for maximally mixed
-    marginals.  Degenerate eigenspaces admit arbitrary vector choices, so for
-    those the equivalent operator-level criterion is used: both partial
-    traces of the full operator must be proportional to the identity.
+    That holds exactly when both partial traces are proportional to the
+    identity.  The operator is then c 1 + sum_ij T_ij sigma_i (x) sigma_j,
+    and local rotations that bring T to signed diagonal form make it diagonal
+    in the Bell basis, degenerate eigenspaces included.
     """
     spec = eig_hermitian(op)
     if spec.dim != 4:
         raise OutOfRange("Bell-diagonality test is defined for 4x4 operators")
-    vals = spec.values
-    scale = 1.0 + np.abs(vals).max()
-    eye = np.eye(2) / 2.0
-    degenerate = False
-    for j in range(4):
-        cluster = np.abs(vals - vals[j]) <= 1e-9 * scale
-        if cluster.sum() > 1:
-            degenerate = True
-            continue
-        ra, rb = _reduced_traces(spec.vectors[:, j])
-        if np.abs(ra - eye).max() > tol or np.abs(rb - eye).max() > tol:
-            return False, spec
-    if degenerate:
-        m = np.asarray(op, dtype=complex)
-        t = m.reshape(2, 2, 2, 2)
-        tr_b = np.einsum("ajbj->ab", t)
-        tr_a = np.einsum("iaib->ab", t)
-        half = np.trace(m).real / 2.0
-        if (
-            np.abs(tr_b - half * np.eye(2)).max() > tol * scale
-            or np.abs(tr_a - half * np.eye(2)).max() > tol * scale
-        ):
-            return False, spec
-    return True, spec
+    m = np.asarray(op, dtype=complex)
+    t = m.reshape(2, 2, 2, 2)
+    half = np.trace(m).real / 2.0 * np.eye(2)
+    marginals = (np.einsum("ajbj->ab", t), np.einsum("iaib->ab", t))
+    off = max(np.abs(tr - half).max() for tr in marginals)
+    return bool(off <= 1e-8 * (1.0 + np.abs(spec.values).max())), spec
 
 
 def _product_basis_label(v1: np.ndarray, v2: np.ndarray) -> str:
@@ -140,24 +117,19 @@ def _product_basis_label(v1: np.ndarray, v2: np.ndarray) -> str:
 def min_resources_for_value(op, local_bound: float, v: float) -> ResourceReport:
     """Simultaneous minimizer of P_R, C_R, D_R, E_R for Bell-diagonal operators.
 
-    Valid for Bell-diagonal operators: the optimal state is the rank-2
-    mixture of the two top eigenvectors with lam1 fixed by the Bell value,
-    and all four robustnesses are monotone functions of lam1 alone.
+    Valid for Bell-diagonal operators: the witness is the minimal-purity
+    state of min_lambda1_for_value, of whatever rank it needs, and all four
+    robustnesses are monotone functions of its lam1 alone.
     """
     if v <= 0:
         raise OutOfRange(f"violation must be positive, got {v}")
     flag, spec = is_bell_diagonal(op)
     if not flag:
         raise NotBellDiagonal("operator is not diagonal in a maximally entangled basis")
-    mu = spec.values
-    target = local_bound + v
-    if target > mu[0] + 1e-12:
-        raise Infeasible(f"target {target} exceeds the top eigenvalue {mu[0]}")
-    sol = min_lambda1_for_value(mu, target, 4)
+    sol = min_lambda1_for_value(spec.values, local_bound + v, 4)
     lam1 = float(sol.lambdas[0])
     v1 = spec.vectors[:, 0]
     v2 = spec.vectors[:, 1]
-    rho = lam1 * np.outer(v1, v1.conj()) + (1 - lam1) * np.outer(v2, v2.conj())
     xi = 0.5 * (np.outer(v1, v1.conj()) + np.outer(v2, v2.conj()))
     e_r = max(0.0, 2.0 * lam1 - 1.0)
     return ResourceReport(
@@ -165,7 +137,7 @@ def min_resources_for_value(op, local_bound: float, v: float) -> ResourceReport:
         c_r=e_r,
         d_r=e_r,
         e_r=e_r,
-        witness_state=density_state(rho, (2, 2)),
+        witness_state=construct_optimal_state(sol, spec, (2, 2)),
         void_state=density_state(xi, (2, 2)),
         coherence_basis=_product_basis_label(v1, v2),
     )
@@ -264,7 +236,7 @@ _H4_PT = np.array([partial_transpose(m, 1) for m in _H4])
 _TRACE_H4 = np.einsum("kii->k", _H4).real
 
 
-def er_ppt_solver(rho: DensityState, *, gap_tol: float = 1e-9) -> float:
+def er_ppt_solver(rho: DensityState) -> float:
     """Generalized robustness of entanglement of a two-qubit state via PPT.
 
     Solves min Tr(sigma) s.t. sigma >= 0 and (rho + sigma)^{T_B} >= 0 with the
@@ -276,7 +248,7 @@ def er_ppt_solver(rho: DensityState, *, gap_tol: float = 1e-9) -> float:
         ConeConstraint(a0=partial_transpose(m, 1), basis=_H4_PT),
     ]
     x0 = params_from_hermitian(np.eye(4, dtype=complex), _H4)
-    x, value = barrier.solve_sdp(_TRACE_H4, cones, x0, gap_tol=gap_tol)
+    x, value = barrier.solve_sdp(_TRACE_H4, cones, x0, gap_tol=1e-9)
     return max(0.0, float(value))
 
 
@@ -313,7 +285,7 @@ def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float
     return x[:n], float(c @ x)
 
 
-def er_min_for_value(op, target: float, *, gap_tol: float = 1e-9) -> tuple[float, DensityState]:
+def er_min_for_value(op, target: float) -> tuple[float, DensityState]:
     """Minimal entanglement robustness over all states with Tr(rho I) = target.
 
     Joint SDP over (rho, sigma): min Tr(sigma) s.t. rho >= 0, Tr(rho) = 1,
@@ -322,7 +294,7 @@ def er_min_for_value(op, target: float, *, gap_tol: float = 1e-9) -> tuple[float
     sigma_cones = [(np.zeros_like(_H4), _H4), (_H4_PT, _H4_PT)]
     sigma0 = params_from_hermitian(np.eye(4, dtype=complex), _H4)
     rho_params, value = _bell_value_program(
-        np.asarray(op, dtype=complex), target, sigma_cones, _TRACE_H4, lambda rho0: sigma0, gap_tol
+        np.asarray(op, dtype=complex), target, sigma_cones, _TRACE_H4, lambda rho0: sigma0, 1e-9
     )
     rho = hermitian_from_params(rho_params, _H4)
     return max(0.0, value), density_state(rho, (2, 2), tol=1e-7)

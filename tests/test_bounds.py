@@ -119,6 +119,7 @@ class TestMinLambda1ForValue:
         fwd = max_value_given_probustness(mu, p_r, d)
         back = min_lambda1_for_value(mu, fwd.value, d)
         assert back.lambdas[0] == pytest.approx((1 + p_r) / d, abs=1e-10)
+        assert fwd.rank == len(fwd.lambdas) and back.rank == len(back.lambdas)
 
 
 class TestMaxValueGivenRenyi2:
@@ -189,6 +190,7 @@ class TestMinRenyi2ForValue:
         sol = min_renyi2_for_value(mu, target, d)
         fwd = max_value_given_renyi2(mu, sol.resource, d)
         assert fwd.value == pytest.approx(target, abs=1e-10)
+        assert sol.rank == len(sol.lambdas) and fwd.rank == len(fwd.lambdas)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -239,6 +239,34 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestBoundGolden:
+    # sha256 of the bound command's JSON stdout, recorded before the closed
+    # forms were rewritten around shared helpers; the outputs must keep their bytes
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["chsh-c4", "--value", "0.2", "--measure", "probustness"],
+             "7e6de61a876e6aa3b88c1307fea7c30da01b60b1a23e39be35bf2912ee11c3cc"),
+            (["chsh-c4", "--value", "0.2", "--measure", "relent"],
+             "dae1b4bf74d899583f3c1687043cb5574e0be164385e767302aaf8a66cb80e4d"),
+            (["i3322", "--target", "4.001", "--measure", "probustness"],
+             "cd690130399e142e8423277f386c8d456452c35129273d089ceb3210bd01e8de"),
+            (["i3322", "--target", "4.001", "--measure", "relent"],
+             "01603537524f5a9d6066dbab858d85370516db768e67a487002f07e9923d98ee"),
+            (["steering-f2", "--value", "0.3", "--measure", "probustness"],
+             "9ec668451382b5bd333503b5fcb2951e3ba036a79970a74230f5ddd922e234f0"),
+            (["steering-f2", "--value", "0.3", "--measure", "relent"],
+             "91bea30c11f8897221ac1090011a61e9ec235cfb96eaa2d1d4172b35790b9a8d"),
+        ],
+        ids=[f"{builtin}-{measure}" for builtin in ("chsh-c4", "i3322", "steering-f2")
+             for measure in ("probustness", "relent")],
+    )
+    def test_bound_json_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, ["bound", "--builtin", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestMinResources:
     def test_endpoint_row_and_ordering(self, capsys):
         v_max = TSIRELSON - 2.0

@@ -16,7 +16,6 @@ from bellres.oracles import (
     min_purity_nelder_mead,
     nelder_mead_max,
     resolve_seed,
-    sample_constrained_states,
     sample_max_expectation,
     sample_spectra,
     stationarity_check,
@@ -48,14 +47,8 @@ class TestSeeding:
 class TestSamplers:
     def test_fixed_lambda1_pure(self):
         cfg = SamplerConfig(seed=1, count=20, constraint="fixed-lambda1", value=1.0)
-        for state in sample_constrained_states(cfg, 3):
-            lam = np.linalg.eigvalsh(state.matrix)
-            assert lam.max() == pytest.approx(1.0, abs=1e-9)
-
-    def test_fixed_purity_maximally_mixed(self):
-        cfg = SamplerConfig(seed=1, count=10, constraint="fixed-linear-purity", value=0.25)
-        for state in sample_constrained_states(cfg, 4):
-            assert np.abs(state.matrix - np.eye(4) / 4).max() <= 1e-9
+        spectra = sample_spectra(cfg, 3)
+        assert np.array_equal(spectra, np.tile([1.0, 0.0, 0.0], (20, 1)))
 
     def test_fixed_lambda1_constraint_holds(self):
         cfg = SamplerConfig(seed=2, count=200, constraint="fixed-lambda1", value=0.6)
@@ -76,23 +69,16 @@ class TestSamplers:
         assert spectra.max(axis=1).max() <= lam1 + 1e-9
         assert np.abs(spectra.sum(axis=1) - 1.0).max() <= 1e-9
 
-    def test_fixed_purity_constraint_holds(self):
-        cfg = SamplerConfig(seed=4, count=200, constraint="fixed-linear-purity", value=0.5)
-        spectra = sample_spectra(cfg, 4)
-        assert np.abs((spectra**2).sum(axis=1) - 0.5).max() <= 1e-9
-        assert spectra.min() >= -1e-12
-
     def test_states_are_valid(self):
         cfg = SamplerConfig(seed=6, count=50, constraint="none")
-        for state in sample_constrained_states(cfg, 3):
-            assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-10)
-            assert np.linalg.eigvalsh(state.matrix).min() >= -1e-10
+        spectra = sample_spectra(cfg, 3)
+        assert spectra.shape == (50, 3)
+        assert np.abs(spectra.sum(axis=1) - 1.0).max() <= 1e-10
+        assert spectra.min() >= 0.0
 
     def test_infeasible_constraints(self):
         with pytest.raises(InfeasibleConstraint):
             sample_spectra(SamplerConfig(1, 5, "fixed-lambda1", 0.1), 4)
-        with pytest.raises(InfeasibleConstraint):
-            sample_spectra(SamplerConfig(1, 5, "fixed-linear-purity", 1.5), 4)
         with pytest.raises(InfeasibleConstraint):
             sample_spectra(SamplerConfig(1, 5, "bogus", 0.5), 4)
 

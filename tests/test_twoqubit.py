@@ -67,6 +67,12 @@ class TestIsBellDiagonal:
         flag, _ = is_bell_diagonal(op)
         assert flag
 
+    def test_non_degenerate_not_bell_diagonal(self, chsh_op):
+        op = chsh_op + 0.1 * tensor(PAULI_Z, np.eye(2))
+        flag, spec = is_bell_diagonal(op)
+        assert np.diff(spec.values).max() < -1e-3  # no degenerate eigenspace
+        assert not flag
+
     def test_random_chsh_settings(self):
         rng = default_rng(0x1BD)
         for _ in range(1000):
@@ -112,6 +118,14 @@ class TestMinResourcesForValue:
         basis = product_basis_matrix("x-product")
         got = cr_fixed_basis(rep.witness_state, basis)
         assert abs(got - rep.e_r) <= 1e-6
+
+    def test_witness_of_rank_above_two(self):
+        # minimal-purity rank 4: a rank-2 witness would miss the Bell value
+        mu = [1.0, 0.9, 0.8, -2.7]
+        op = sum(m * _bds_matrix(np.eye(4)[k]) for k, m in enumerate(mu))
+        rep = min_resources_for_value(op, 0.5, 0.1)
+        assert np.trace(rep.witness_state.matrix @ op).real == pytest.approx(0.6, abs=1e-12)
+        assert np.linalg.matrix_rank(rep.witness_state.matrix, tol=1e-9) == 4
 
     def test_not_bell_diagonal(self):
         with pytest.raises(NotBellDiagonal):
