@@ -330,6 +330,12 @@ def _su2(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz1 @ ry @ rz2
 
 
+@functools.cache
+def _diag_basis(d: int) -> np.ndarray:
+    """The matrix units E_ii: the first d elements of hermitian_basis(d)."""
+    return hermitian_basis(d)[:d]
+
+
 def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9) -> float:
     """Generalized robustness of coherence in a fixed orthonormal product basis.
 
@@ -342,8 +348,7 @@ def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9) -> float:
     if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
         raise ValueError("basis columns must be orthonormal")
     rot = u.conj().T @ m @ u
-    diag_basis = np.array([np.diag(row) for row in np.eye(d, dtype=complex)])
-    cones = [ConeConstraint(a0=-rot, basis=diag_basis)]
+    cones = [ConeConstraint(a0=-rot, basis=_diag_basis(d))]
     x0 = np.real(np.diag(rot)) + 1.0
     x, value = barrier.solve_sdp(np.ones(d), cones, x0, gap_tol=gap_tol)
     return max(0.0, float(value) - 1.0)
@@ -353,9 +358,8 @@ def cr_min_for_value(op, target: float, basis: np.ndarray, *, gap_tol: float = 1
     """Minimal coherence robustness (fixed basis) over states with Tr(rho I) = target."""
     u = np.asarray(basis, dtype=complex)
     rot_op = u.conj().T @ np.asarray(op, dtype=complex) @ u
-    diag_basis = np.array([np.diag(row) for row in np.eye(4, dtype=complex)])
     _, value = _bell_value_program(
-        rot_op, target, [(-_H4, diag_basis)], np.ones(4),
+        rot_op, target, [(-_H4, _diag_basis(4))], np.ones(4),
         lambda rho0: np.real(np.diag(rho0)) + 1.0, gap_tol,
     )
     return max(0.0, value - 1.0)
@@ -370,7 +374,8 @@ def cr_min_over_product_bases(
     random restarts; returns an upper bound to the true minimum and the best
     basis found.  If target_op/target are given, the state itself is also
     optimized inside each basis (the joint program used for the three-setting
-    experiment); otherwise rho is held fixed.
+    experiment); otherwise rho is held fixed.  A basis whose solve fails
+    counts as rejected; SolverFailure is raised when every basis tried failed.
     """
     from scipy.optimize import minimize
 
@@ -391,27 +396,27 @@ def cr_min_over_product_bases(
         except SolverFailure:
             return np.inf
 
+    def nelder_mead(fun, x0, **options):
+        # a simplex whose points all failed compares inf - inf; they stay rejected
+        with np.errstate(invalid="ignore"):
+            return minimize(fun, x0, method="Nelder-Mead", options=options)
+
     best_val = np.inf
     best_angles = np.zeros(6)
     # cheap wide exploration; accuracy comes from the polish pass below
     for _ in range(restarts):
-        x0 = rng.uniform(0.0, 2.0 * np.pi, size=6)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 3e-4, "fatol": 1e-5, "maxfev": 100},
-        )
+        res = nelder_mead(objective, rng.uniform(0.0, 2.0 * np.pi, size=6),
+                          xatol=3e-4, fatol=1e-5, maxfev=100)
         if res.fun < best_val:
             best_val = float(res.fun)
             best_angles = res.x
-    res = minimize(
-        lambda a: objective(a, gap_tol=1e-8),
-        best_angles,
-        method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-9, "maxfev": 400},
-    )
+    res = nelder_mead(lambda a: objective(a, gap_tol=1e-8), best_angles,
+                      xatol=1e-7, fatol=1e-9, maxfev=400)
     if res.fun < best_val:
         best_val = float(res.fun)
         best_angles = res.x
+    if not np.isfinite(best_val):
+        raise SolverFailure(
+            f"no product basis gave a finite C_R: best {best_val} in {restarts} restarts"
+        )
     return best_val, product_basis_matrix(best_angles)

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from bellres import cli
+from bellres import cli, twoqubit
+from bellres.errors import SolverFailure
 
 RT2 = np.sqrt(2.0)
 TSIRELSON = 2 * RT2
@@ -311,3 +312,13 @@ class TestI3322Check:
         assert doc["P_R_delta"] <= 5e-4
         assert doc["E_R_delta"] <= 1e-3
         assert "C_R" not in doc
+
+    def test_cr_search_failure_exits_3(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverFailure("no solve")
+
+        monkeypatch.setattr(twoqubit, "cr_min_for_value", fail)
+        code, out, err = run(capsys, ["i3322-check", "--restarts", "1"])
+        assert code == 3
+        assert out == ""
+        assert "solver failure" in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellres import bell, twoqubit
-from bellres.errors import Infeasible, NotBellDiagonal, OutOfRange
+from bellres.errors import Infeasible, NotBellDiagonal, OutOfRange, SolverFailure
 from bellres.linalg import PAULI_X, PAULI_Z, density_state, eig_hermitian, tensor
 from bellres.oracles import default_rng
 from bellres.twoqubit import (
@@ -338,6 +338,15 @@ class TestCrSolvers:
         rho = density_state(np.outer(ket, ket), (2, 2))
         value, _ = cr_min_over_product_bases(rho, restarts=8, seed=0xC1)
         assert value <= 1e-4
+
+    def test_search_without_a_finite_value_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverFailure("no solve")
+
+        monkeypatch.setattr(twoqubit, "cr_fixed_basis", fail)
+        rho = density_state(np.eye(4) / 4, (2, 2))
+        with pytest.raises(SolverFailure, match="no product basis"):
+            cr_min_over_product_bases(rho, restarts=1, seed=0xC2)
 
     def test_joint_cr_at_least_joint_er(self, chsh_op):
         c_r = cr_min_for_value(chsh_op, 2.2, np.eye(4))
