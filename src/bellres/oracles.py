@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import RankSolution
 from .errors import InfeasibleConstraint
@@ -117,6 +116,8 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
 
 def nelder_mead_max(f, x0s, *, xatol: float = 1e-9, fatol: float = 1e-12, maxfev: int = 20000):
     """Best-of-restarts Nelder-Mead maximization; deterministic given x0s."""
+    from scipy.optimize import minimize  # lazily: the CLI imports this module
+
     best_x, best_v = None, -np.inf
     for x0 in np.atleast_2d(np.asarray(x0s, dtype=float)):
         res = minimize(
@@ -167,6 +168,8 @@ def min_purity_nelder_mead(
     refined by exact quadratic solves on its nested top-r subsets (the
     quadratic penalty alone plateaus around 1e-6).
     """
+    from scipy.optimize import minimize  # lazily: the CLI imports this module
+
     mu = np.asarray(mu, dtype=float)
     d = len(mu)
     a_eq = np.stack([np.ones(d), mu])

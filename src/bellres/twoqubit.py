@@ -248,8 +248,7 @@ def er_ppt_solver(rho: DensityState) -> float:
         ConeConstraint(a0=partial_transpose(m, 1), basis=_H4_PT),
     ]
     x0 = params_from_hermitian(np.eye(4, dtype=complex), _H4)
-    x, value = barrier.solve_sdp(_TRACE_H4, cones, x0, gap_tol=1e-9)
-    return max(0.0, float(value))
+    return max(0.0, barrier.solve_sdp(_TRACE_H4, cones, x0, gap_tol=1e-9).value)
 
 
 def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float):
@@ -280,7 +279,7 @@ def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float
     rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * np.eye(4) / 4.0
     x0 = np.concatenate([params_from_hermitian(rho0, _H4), y_start(rho0)])
     c_z, cones_z, null = barrier.eliminate_equalities(c, cones, a_eq, x0)
-    z, _ = barrier.solve_sdp(c_z, cones_z, np.zeros(null.shape[1]), gap_tol=gap_tol)
+    z = barrier.solve_sdp(c_z, cones_z, np.zeros(null.shape[1]), gap_tol=gap_tol).x
     x = x0 + null @ z
     return x[:n], float(c @ x)
 
@@ -350,8 +349,7 @@ def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9) -> float:
     rot = u.conj().T @ m @ u
     cones = [ConeConstraint(a0=-rot, basis=_diag_basis(d))]
     x0 = np.real(np.diag(rot)) + 1.0
-    x, value = barrier.solve_sdp(np.ones(d), cones, x0, gap_tol=gap_tol)
-    return max(0.0, float(value) - 1.0)
+    return max(0.0, barrier.solve_sdp(np.ones(d), cones, x0, gap_tol=gap_tol).value - 1.0)
 
 
 def cr_min_for_value(op, target: float, basis: np.ndarray, *, gap_tol: float = 1e-8) -> float:

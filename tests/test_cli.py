@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellres import cli, twoqubit
+from bellres import barrier, cli, twoqubit
 from bellres.errors import SolverFailure
 
 RT2 = np.sqrt(2.0)
@@ -322,3 +326,21 @@ class TestI3322Check:
         assert code == 3
         assert out == ""
         assert "solver failure" in err
+
+    def test_uncertified_solve_exits_3(self, capsys, monkeypatch):
+        # a solver that stops before its certificate must not print a number
+        monkeypatch.setattr(barrier, "_MAX_ITERATIONS", 2)
+        code, out, err = run(capsys, ["i3322-check", "--skip-cr"])
+        assert code == 3
+        assert out == ""
+        assert "no certificate" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    probe = "import sys, bellres.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
