@@ -2,9 +2,10 @@
 
 Problems are linear objectives over real parameter vectors subject to affine
 Hermitian positive-semidefinite cone constraints S_k(x) = A0_k + sum_i x_i
-A_ki >= 0; equalities are eliminated before the solve.  A solve stacks its
-cones into one block-diagonal cone S(x) and keeps a dual Z > 0 for max
--Re tr(A0 Z) s.t. Re tr(A_i Z) = c_i.  Each iteration is one Mehrotra
+A_ki >= 0 and optional equality rows.  The solver removes the rows itself: it
+runs on x = x0 + N z, N an orthonormal null-space basis of the rows.  A solve
+stacks its cones into one block-diagonal cone S(x) and keeps a dual Z > 0 for
+max -Re tr(A0 Z) s.t. Re tr(A_i Z) = c_i.  Each iteration is one Mehrotra
 predictor-corrector step (SIAM J. Optim. 2(4), 1992) on HKM directions
 (Helmberg et al., SIAM J. Optim. 6(2), 1996).  A solve stops on a certificate,
 a small gap tr(S Z) and dual residual, or raises SolverFailure.  S(x) and the
@@ -71,7 +72,11 @@ _SCHUR_CUT = 1e-14  # Schur eigenvalues below this share of the largest are drop
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """A certified solve: x, c.x, the dual objective -Re tr(A0 Z), tr(S(x) Z) and iterations."""
+    """A certified solve: x, c.x, the dual objective -Re tr(A0 Z), tr(S(x) Z) and iterations.
+
+    All in the caller's variables; with equality rows the dual objective is
+    c.x0 - Re tr(S(x0) Z), the dual of the program in z plus c.x0.
+    """
 
     x: np.ndarray
     value: float
@@ -109,10 +114,17 @@ def solve_sdp(
     c: np.ndarray,
     cones: list[ConeConstraint],
     x0: np.ndarray,
+    a_eq: np.ndarray | None = None,
     *,
     gap_tol: float = 1e-9,
 ) -> SolveInfo:
-    """Minimize c.x subject to the cone constraints, from a strictly feasible x0.
+    """Minimize c.x subject to the cones and a_eq x = a_eq x0, from a strictly feasible x0.
+
+    The rows of a_eq must hold at x0; they may be redundant.  The solve runs on
+    x = x0 + N z, where N is an orthonormal basis of the null space of a_eq
+    (singular values at or below 1e-12 of max(1, the largest) count as zero),
+    with the cones shifted to S_k(x0) and z starting at 0.  Every row then
+    holds at the returned x up to rounding.  Without a_eq it runs on x itself.
 
     Z starts at S(x0)^-1.  Each iteration factors the Schur matrix M_ij =
     Re tr(A_i Z A_j S^-1) once for an affine predictor and a corrector with
@@ -124,8 +136,15 @@ def solve_sdp(
     that never meets the cone boundary (unbounded below), when a direction is
     not finite or an iterate leaves its cone, and after _MAX_ITERATIONS.
     """
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
+    c_x = np.asarray(c, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    c, x, null = c_x, x0.copy(), None
+    if a_eq is not None:  # from here on c and x are N^T c and z
+        _, sv, vt = np.linalg.svd(np.atleast_2d(np.asarray(a_eq, dtype=float)))
+        null = vt[int(np.sum(sv > 1e-12 * sv.max(initial=1.0))):].T
+        cones = [ConeConstraint(cone.evaluate(x0), np.tensordot(null.T, cone.basis, axes=(1, 0)))
+                 for cone in cones]
+        c, x = null.T @ c_x, np.zeros(null.shape[1])
     cone = _stack(cones)
     n, m, _ = cone.basis.shape
     flat = cone.basis.view(float).reshape(n, -1)
@@ -157,7 +176,10 @@ def solve_sdp(
         gap = float(np.vdot(s, z).real)  # tr(S Z)
         residual = float(np.abs(c - adjoint(z)).max(initial=0.0))
         if gap <= gap_tol and residual <= dual_tol:
-            return SolveInfo(x, float(c @ x), -float(np.vdot(cone.a0, z).real), gap, iteration)
+            dual = -float(np.vdot(cone.a0, z).real)
+            if null is not None:  # back to the caller's x, where c.x = c.x0 + (N^T c).z
+                x, dual = x0 + null @ x, dual + float(c_x @ x0)
+            return SolveInfo(x, float(c_x @ x), dual, gap, iteration)
         if iteration == _MAX_ITERATIONS:
             raise SolverFailure(f"no certificate in {iteration} iterations: gap {gap:.2e}, "
                                 f"dual residual {residual:.2e}")
@@ -180,28 +202,3 @@ def solve_sdp(
         dx, ds, dz = direction(sigma_mu * s_inv - second)
         x = x + min(1.0, _TO_BOUNDARY * _max_step(s_chol_inv, ds)) * dx
         z = z + min(1.0, _TO_BOUNDARY * _max_step(z_chol_inv, dz)) * dz
-
-
-def eliminate_equalities(
-    c: np.ndarray,
-    cones: list[ConeConstraint],
-    a_eq: np.ndarray,
-    x0: np.ndarray,
-) -> tuple[np.ndarray, list[ConeConstraint], np.ndarray]:
-    """Reparametrize x = x0 + N z so equalities A x = b hold identically.
-
-    x0 must already satisfy A x0 = b; N is an orthonormal null-space basis of A.
-    Returns (c_z, cones_z, N); z = 0 maps back to x0, and the constant
-    objective shift c.x0 is left to the caller.
-    """
-    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-    _, sv, vt = np.linalg.svd(a_eq)
-    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if len(sv) else 1.0)))
-    null = vt[rank:].T
-    cones_z = []
-    for cone in cones:
-        a0 = cone.evaluate(x0)
-        basis_z = np.tensordot(null.T, cone.basis, axes=(1, 0))
-        cones_z.append(ConeConstraint(a0=a0, basis=basis_z))
-    c_z = null.T @ c
-    return c_z, cones_z, null

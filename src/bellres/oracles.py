@@ -39,13 +39,6 @@ class SamplerConfig:
     value: float = 0.0
 
 
-def _random_unitaries(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    z = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (phases / np.abs(phases))[:, None, :]
-
-
 def _spectra_fixed_lambda1(rng: np.random.Generator, n: int, d: int, lam1: float) -> np.ndarray:
     """Spectra with largest eigenvalue exactly lam1, rest uniform on the slice."""
     if not 1.0 / d - 1e-12 <= lam1 <= 1.0 + 1e-12:
@@ -106,7 +99,9 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
         n = min(20000, remaining)  # chunks bound the memory of the batched unitaries
         sub = SamplerConfig(cfg.seed, n, cfg.constraint, cfg.value)
         spectra = sample_spectra(sub, d, rng)
-        units = _random_unitaries(rng, n, d)
+        # Q of a complex Gaussian is Haar up to column phases, which leave u_j^dag I u_j unchanged
+        gauss = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        units = np.linalg.qr(gauss)[0]
         diag = np.einsum("naj,ab,nbj->nj", units.conj(), op, units).real
         vals = np.einsum("nj,nj->n", spectra, diag)
         best = max(best, float(vals.max()))

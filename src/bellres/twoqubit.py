@@ -240,7 +240,7 @@ def er_ppt_solver(rho: DensityState) -> float:
     """Generalized robustness of entanglement of a two-qubit state via PPT.
 
     Solves min Tr(sigma) s.t. sigma >= 0 and (rho + sigma)^{T_B} >= 0 with the
-    log-barrier solver; for 2x2 systems PPT is exact separability.
+    primal-dual SDP solver; for 2x2 systems PPT is exact separability.
     """
     m = rho.matrix if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
     cones = [
@@ -272,16 +272,14 @@ def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float
     ]
     c = np.concatenate([np.zeros(n), c_y])
     bell = np.einsum("kij,ji->k", _H4, op).real
-    # Tr(rho) = 1 and Tr(rho I) = target hold at x0 and along the null space of a_eq
+    # Tr(rho) = 1 and Tr(rho I) = target hold at x0
     a_eq = np.stack([np.concatenate([_TRACE_H4, np.zeros(k)]), np.concatenate([bell, np.zeros(k)])])
     t_mix = (target - mean) / (mu[0] - mean)
     v1 = spec.vectors[:, 0]
     rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * np.eye(4) / 4.0
     x0 = np.concatenate([params_from_hermitian(rho0, _H4), y_start(rho0)])
-    c_z, cones_z, null = barrier.eliminate_equalities(c, cones, a_eq, x0)
-    z = barrier.solve_sdp(c_z, cones_z, np.zeros(null.shape[1]), gap_tol=gap_tol).x
-    x = x0 + null @ z
-    return x[:n], float(c @ x)
+    info = barrier.solve_sdp(c, cones, x0, a_eq, gap_tol=gap_tol)
+    return info.x[:n], info.value
 
 
 def er_min_for_value(op, target: float) -> tuple[float, DensityState]:
@@ -375,6 +373,9 @@ def cr_min_over_product_bases(
     experiment); otherwise rho is held fixed.  A basis whose solve fails
     counts as rejected; SolverFailure is raised when every basis tried failed.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+
     from scipy.optimize import minimize
 
     from .oracles import default_rng

@@ -327,6 +327,14 @@ class TestI3322Check:
         assert out == ""
         assert "solver failure" in err
 
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_no_restarts_is_an_input_error(self, capsys, restarts):
+        # no restart leaves one polish from angle zero, which is not a search
+        code, out, err = run(capsys, ["i3322-check", "--restarts", restarts])
+        assert code == 1
+        assert out == ""
+        assert "input error:" in err
+
     def test_uncertified_solve_exits_3(self, capsys, monkeypatch):
         # a solver that stops before its certificate must not print a number
         monkeypatch.setattr(barrier, "_MAX_ITERATIONS", 2)
