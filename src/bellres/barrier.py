@@ -8,9 +8,12 @@ stacks its cones into one block-diagonal cone S(x) and keeps a dual Z > 0 for
 max -Re tr(A0 Z) s.t. Re tr(A_i Z) = c_i.  Each iteration is one Mehrotra
 predictor-corrector step (SIAM J. Optim. 2(4), 1992) on HKM directions
 (Helmberg et al., SIAM J. Optim. 6(2), 1996).  A solve stops on a certificate,
-a small gap tr(S Z) and dual residual, or raises SolverFailure.  S(x) and the
-Schur matrix are real matmuls over (re, im) pairs: OpenBLAS splits complex
-products of these sizes across threads, and a loaded host then stalls them.
+a small gap tr(S Z) and dual residual, or raises SolverFailure.  The returned
+SolveInfo also holds the dual Z itself and, with equality rows, their
+multipliers nu: c - A*(Z) = a_eq^T nu, the sensitivity of the optimum to the
+rows that a caller's gradient needs.  S(x) and the Schur matrix are real
+matmuls over (re, im) pairs: OpenBLAS splits complex products of these sizes
+across threads, and a loaded host then stalls them.
 """
 
 from __future__ import annotations
@@ -75,7 +78,10 @@ class SolveInfo:
     """A certified solve: x, c.x, the dual objective -Re tr(A0 Z), tr(S(x) Z) and iterations.
 
     All in the caller's variables; with equality rows the dual objective is
-    c.x0 - Re tr(S(x0) Z), the dual of the program in z plus c.x0.
+    c.x0 - Re tr(S(x0) Z), the dual of the program in z plus c.x0.  z is the
+    block-diagonal dual matrix over the cones in their order; multipliers
+    holds nu with c - A*(Z) = a_eq^T nu, one entry per row of a_eq (None
+    without rows), where A*(Z)_i = Re tr(A_i Z) over the caller's cones.
     """
 
     x: np.ndarray
@@ -83,6 +89,8 @@ class SolveInfo:
     dual_value: float
     gap: float
     iterations: int
+    multipliers: np.ndarray | None
+    z: np.ndarray
 
 
 def _cholesky(h: np.ndarray, failure: str) -> np.ndarray:
@@ -131,21 +139,24 @@ def solve_sdp(
     centering (mu_aff / mu)^3, and moves x and Z 0.98 of the way to their
     cone boundaries.  The solve returns once tr(S Z) <= gap_tol and each dual
     residual c_i - Re tr(A_i Z) is within 1e-9 (1 + max|c|): c.x minus the
-    dual objective is then the gap plus residual times x.  SolverFailure is
-    raised when x0 is not strictly feasible, when c.x falls along a predictor
-    that never meets the cone boundary (unbounded below), when a direction is
-    not finite or an iterate leaves its cone, and after _MAX_ITERATIONS.
+    dual objective is then the gap plus residual times x.  The multipliers nu
+    of the rows come from the same SVD, as the least-squares solution of
+    c - A*(Z) = a_eq^T nu.  SolverFailure is raised when x0 is not strictly
+    feasible, when c.x falls along a predictor that never meets the cone
+    boundary (unbounded below), when a direction is not finite or an iterate
+    leaves its cone, and after _MAX_ITERATIONS.
     """
     c_x = np.asarray(c, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    c, x, null = c_x, x0.copy(), None
+    c, x, null, shifted = c_x, x0.copy(), None, cones
     if a_eq is not None:  # from here on c and x are N^T c and z
-        _, sv, vt = np.linalg.svd(np.atleast_2d(np.asarray(a_eq, dtype=float)))
-        null = vt[int(np.sum(sv > 1e-12 * sv.max(initial=1.0))):].T
-        cones = [ConeConstraint(cone.evaluate(x0), np.tensordot(null.T, cone.basis, axes=(1, 0)))
-                 for cone in cones]
+        u, sv, vt = np.linalg.svd(np.atleast_2d(np.asarray(a_eq, dtype=float)))
+        rank = int(np.sum(sv > 1e-12 * sv.max(initial=1.0)))
+        null = vt[rank:].T
+        shifted = [ConeConstraint(cone.evaluate(x0), np.tensordot(null.T, cone.basis, axes=(1, 0)))
+                   for cone in cones]
         c, x = null.T @ c_x, np.zeros(null.shape[1])
-    cone = _stack(cones)
+    cone = _stack(shifted)
     n, m, _ = cone.basis.shape
     flat = cone.basis.view(float).reshape(n, -1)
     dual_tol = 1e-9 * (1.0 + float(np.abs(c).max(initial=0.0)))
@@ -176,10 +187,16 @@ def solve_sdp(
         gap = float(np.vdot(s, z).real)  # tr(S Z)
         residual = float(np.abs(c - adjoint(z)).max(initial=0.0))
         if gap <= gap_tol and residual <= dual_tol:
-            dual = -float(np.vdot(cone.a0, z).real)
+            dual, nu = -float(np.vdot(cone.a0, z).real), None
             if null is not None:  # back to the caller's x, where c.x = c.x0 + (N^T c).z
                 x, dual = x0 + null @ x, dual + float(c_x @ x0)
-            return SolveInfo(x, float(c_x @ x), dual, gap, iteration)
+                # c - A*(Z) lies in the row space of a_eq = U_r diag(sv_r) V_r^T up to
+                # the residual; A*(Z) is summed over the caller's cones, block by block
+                sizes = np.cumsum([0] + [block.a0.shape[0] for block in cones])
+                a_z = sum(np.einsum("kij,ji->k", block.basis, z[lo:hi, lo:hi]).real
+                          for block, lo, hi in zip(cones, sizes[:-1], sizes[1:]))
+                nu = u[:, :rank] @ ((vt[:rank] @ (c_x - a_z)) / sv[:rank])
+            return SolveInfo(x, float(c_x @ x), dual, gap, iteration, nu, z)
         if iteration == _MAX_ITERATIONS:
             raise SolverFailure(f"no certificate in {iteration} iterations: gap {gap:.2e}, "
                                 f"dual residual {residual:.2e}")

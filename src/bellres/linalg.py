@@ -32,10 +32,10 @@ def as_matrix(a) -> np.ndarray:
 
 def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     m = as_matrix(a)
-    scale = np.abs(m).max()
-    if scale == 0.0:
-        return m
     dev = np.abs(m - m.conj().T).max()
+    if dev == 0.0:  # exactly Hermitian, whatever the scale
+        return m
+    scale = np.abs(m).max()
     if dev > rtol * scale:
         raise NotHermitian(f"asymmetry {dev:.3e} exceeds {rtol:.1e} * {scale:.3e}")
     return m
@@ -53,42 +53,34 @@ class Spectrum:
         return len(self.values)
 
 
-def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-    if len(idx) == 0:
-        return v
-    pivot = v[idx[0]]
-    return v * (abs(pivot) / pivot)
-
-
 def eig_hermitian(a) -> Spectrum:
     """Deterministic eigendecomposition of a Hermitian matrix.
 
     Eigenvalues come out in descending order.  Each eigenvector's first
-    nonzero entry is made real positive, and vectors inside a degenerate
-    cluster are ordered lexicographically by (re, im) entries, so identical
+    nonzero entry (the first above 1e-12 of its largest) is made real
+    positive, and vectors inside a degenerate cluster are ordered
+    lexicographically by their interleaved (re, im) entries, so identical
     inputs always produce identical output.
     """
     m = check_hermitian(a)
     vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        vecs[:, j] = _normalize_phase(vecs[:, j])
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1]
+    size = np.abs(vecs)
+    pivot = vecs[np.argmax(size > 1e-12 * size.max(axis=0), axis=0), np.arange(len(vals))]
+    # |pivot| as hypot, the scalar abs: np.abs of a complex array rounds differently
+    vecs = vecs * (np.hypot(pivot.real, pivot.imag) / pivot)
     # deterministic ordering inside degenerate clusters
-    scale = 1.0 + np.abs(vals).max()
+    levels = vals.tolist()
+    tol = 1e-9 * (1.0 + max(abs(levels[0]), abs(levels[-1])))
     j = 0
-    d = len(vals)
+    d = len(levels)
     while j < d:
         k = j + 1
-        while k < d and vals[j] - vals[k] <= 1e-9 * scale:
+        while k < d and levels[j] - levels[k] <= tol:
             k += 1
         if k - j > 1:
-            keys = sorted(
-                range(j, k),
-                key=lambda i: tuple(np.stack([vecs[:, i].real, vecs[:, i].imag], -1).ravel()),
-            )
-            vecs[:, j:k] = vecs[:, keys]
+            keys = np.ascontiguousarray(vecs[:, j:k].T).view(float)  # row i: re, im, re, ...
+            vecs[:, j:k] = vecs[:, j:k][:, np.lexsort(keys.T[::-1])]  # first entry is primary
         j = k
     return Spectrum(values=vals, vectors=vecs)
 

@@ -257,7 +257,8 @@ def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float
     y_cones lists the further cones as (rho block, y block) basis pairs over
     the 16 rho parameters and the len(c_y) y parameters.  The solve starts
     from the strictly feasible rho0 = t v1 v1^dag + (1 - t) 1/4 on the
-    target, with y = y_start(rho0).  Returns (rho parameters, objective).
+    target, with y = y_start(rho0).  Returns the SolveInfo over x = (rho
+    parameters, y); its multipliers are those of the trace and Bell rows.
     """
     spec = eig_hermitian(op)
     mu = spec.values
@@ -278,8 +279,7 @@ def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float
     v1 = spec.vectors[:, 0]
     rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * np.eye(4) / 4.0
     x0 = np.concatenate([params_from_hermitian(rho0, _H4), y_start(rho0)])
-    info = barrier.solve_sdp(c, cones, x0, a_eq, gap_tol=gap_tol)
-    return info.x[:n], info.value
+    return barrier.solve_sdp(c, cones, x0, a_eq, gap_tol=gap_tol)
 
 
 def er_min_for_value(op, target: float) -> tuple[float, DensityState]:
@@ -290,11 +290,11 @@ def er_min_for_value(op, target: float) -> tuple[float, DensityState]:
     """
     sigma_cones = [(np.zeros_like(_H4), _H4), (_H4_PT, _H4_PT)]
     sigma0 = params_from_hermitian(np.eye(4, dtype=complex), _H4)
-    rho_params, value = _bell_value_program(
+    info = _bell_value_program(
         np.asarray(op, dtype=complex), target, sigma_cones, _TRACE_H4, lambda rho0: sigma0, 1e-9
     )
-    rho = hermitian_from_params(rho_params, _H4)
-    return max(0.0, value), density_state(rho, (2, 2), tol=1e-7)
+    rho = hermitian_from_params(info.x[: len(_H4)], _H4)
+    return max(0.0, info.value), density_state(rho, (2, 2), tol=1e-7)
 
 
 _PRODUCT_EIGS = {
@@ -318,13 +318,35 @@ def product_basis_matrix(label_or_angles) -> np.ndarray:
     return np.kron(_su2(*angles[:3]), _su2(*angles[3:]))
 
 
-def _su2(alpha: float, beta: float, gamma: float) -> np.ndarray:
+def _su2_factors(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, ...]:
+    """Rz(alpha), Ry(beta), Rz(gamma), each exp(-i angle sigma / 2)."""
     rz1 = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
     ry = np.array(
         [[np.cos(beta / 2), -np.sin(beta / 2)], [np.sin(beta / 2), np.cos(beta / 2)]]
     )
     rz2 = np.diag([np.exp(-0.5j * gamma), np.exp(0.5j * gamma)])
+    return rz1, ry, rz2
+
+
+def _su2(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    rz1, ry, rz2 = _su2_factors(alpha, beta, gamma)
     return rz1 @ ry @ rz2
+
+
+_HALF_Z = np.diag([-0.5j, 0.5j])  # d/dt exp(-i t sigma_z / 2) = _HALF_Z exp(-i t sigma_z / 2)
+_HALF_Y = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)  # likewise for sigma_y
+
+
+def _angle_jacobian(angles: np.ndarray) -> np.ndarray:
+    """dU/dtheta_j of U = product_basis_matrix(angles), shape (6, 4, 4)."""
+    sides = []
+    for rz1, ry, rz2 in (_su2_factors(*angles[:3]), _su2_factors(*angles[3:])):
+        u = rz1 @ ry @ rz2
+        sides.append((u, np.array([_HALF_Z @ u, rz1 @ _HALF_Y @ ry @ rz2, u @ _HALF_Z])))
+    (a, da), (b, db) = sides
+    left = np.concatenate([da, np.broadcast_to(a, da.shape)])
+    right = np.concatenate([np.broadcast_to(b, db.shape), db])
+    return np.einsum("kij,klm->kiljm", left, right).reshape(6, 4, 4)  # kron(left_k, right_k)
 
 
 @functools.cache
@@ -333,11 +355,13 @@ def _diag_basis(d: int) -> np.ndarray:
     return hermitian_basis(d)[:d]
 
 
-def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9) -> float:
+def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9, gradient: bool = False):
     """Generalized robustness of coherence in a fixed orthonormal product basis.
 
     Equivalent program: min Tr(D) - 1 over D diagonal in the basis with
-    D >= rho.
+    D >= rho.  With gradient=True returns (value, G), where G = 2 rho U Z
+    gives the change of the value with the basis U as Re tr(G^dag dU): only
+    the cone's a0 = -U^dag rho U depends on U, and Z is its dual.
     """
     m = rho.matrix if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
     d = m.shape[0]
@@ -347,18 +371,32 @@ def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9) -> float:
     rot = u.conj().T @ m @ u
     cones = [ConeConstraint(a0=-rot, basis=_diag_basis(d))]
     x0 = np.real(np.diag(rot)) + 1.0
-    return max(0.0, barrier.solve_sdp(np.ones(d), cones, x0, gap_tol=gap_tol).value - 1.0)
+    info = barrier.solve_sdp(np.ones(d), cones, x0, gap_tol=gap_tol)
+    value = max(0.0, info.value - 1.0)
+    return (value, 2.0 * m @ u @ info.z) if gradient else value
 
 
-def cr_min_for_value(op, target: float, basis: np.ndarray, *, gap_tol: float = 1e-8) -> float:
-    """Minimal coherence robustness (fixed basis) over states with Tr(rho I) = target."""
+def cr_min_for_value(
+    op, target: float, basis: np.ndarray, *, gap_tol: float = 1e-8, gradient: bool = False
+):
+    """Minimal coherence robustness (fixed basis) over states with Tr(rho I) = target.
+
+    With gradient=True returns (value, G), where G = -2 nu I U rho gives the
+    change of the value with the basis U as Re tr(G^dag dU): only the Bell row
+    Tr(rho U^dag I U) = target depends on U, nu is its multiplier and rho the
+    optimal state in the basis.
+    """
+    op = np.asarray(op, dtype=complex)
     u = np.asarray(basis, dtype=complex)
-    rot_op = u.conj().T @ np.asarray(op, dtype=complex) @ u
-    _, value = _bell_value_program(
-        rot_op, target, [(-_H4, _diag_basis(4))], np.ones(4),
+    info = _bell_value_program(
+        u.conj().T @ op @ u, target, [(-_H4, _diag_basis(4))], np.ones(4),
         lambda rho0: np.real(np.diag(rho0)) + 1.0, gap_tol,
     )
-    return max(0.0, value - 1.0)
+    value = max(0.0, info.value - 1.0)
+    if not gradient:
+        return value
+    rho = hermitian_from_params(info.x[: len(_H4)], _H4)
+    return value, -2.0 * info.multipliers[1] * op @ u @ rho
 
 
 def cr_min_over_product_bases(
@@ -366,15 +404,20 @@ def cr_min_over_product_bases(
 ) -> tuple[float, np.ndarray]:
     """Best-effort minimization of coherence robustness over all product bases.
 
-    Derivative-free (Nelder-Mead) search over 3+3 local-rotation angles with
-    random restarts; returns an upper bound to the true minimum and the best
-    basis found.  If target_op/target are given, the state itself is also
-    optimized inside each basis (the joint program used for the three-setting
-    experiment); otherwise rho is held fixed.  A basis whose solve fails
-    counts as rejected; SolverFailure is raised when every basis tried failed.
+    Give either rho, held fixed, or target_op with target, in which case the
+    state is also optimized inside each basis (the joint program of the
+    three-setting experiment).  BFGS runs over the 3+3 local-rotation angles
+    from `restarts` random starts at gap 1e-6, then polishes the best at gap
+    1e-8.  The gradient comes from the solve itself (envelope theorem), chained
+    to the angles; it costs no extra solves.  Returns an upper bound to the
+    true minimum and the best basis found.  A basis whose solve fails counts
+    as rejected; SolverFailure is raised when every basis tried failed.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    joint = target_op is not None
+    if (rho is not None) == joint or (target is not None) != joint:
+        raise ValueError("give rho, or target_op together with target, but not both")
 
     from scipy.optimize import minimize
 
@@ -382,35 +425,30 @@ def cr_min_over_product_bases(
 
     rng = default_rng(seed)
 
-    if target_op is not None:
-        if target is None:
-            raise ValueError("target value required together with target_op")
+    if joint:
         program = functools.partial(cr_min_for_value, target_op, target)
     else:
         program = functools.partial(cr_fixed_basis, rho)
 
-    def objective(angles, gap_tol=1e-6):
+    def objective(angles, gap_tol):
         try:
-            return program(product_basis_matrix(angles), gap_tol=gap_tol)
-        except SolverFailure:
-            return np.inf
+            value, g = program(product_basis_matrix(angles), gap_tol=gap_tol, gradient=True)
+        except SolverFailure:  # rejected: a start there stops, a line search steps back
+            return np.inf, np.zeros(6)
+        return value, np.einsum("kij,ij->k", _angle_jacobian(angles), g.conj()).real
 
-    def nelder_mead(fun, x0, **options):
-        # a simplex whose points all failed compares inf - inf; they stay rejected
-        with np.errstate(invalid="ignore"):
-            return minimize(fun, x0, method="Nelder-Mead", options=options)
+    def bfgs(x0, gap_tol, **options):
+        return minimize(objective, x0, args=(gap_tol,), method="BFGS", jac=True, options=options)
 
     best_val = np.inf
     best_angles = np.zeros(6)
     # cheap wide exploration; accuracy comes from the polish pass below
     for _ in range(restarts):
-        res = nelder_mead(objective, rng.uniform(0.0, 2.0 * np.pi, size=6),
-                          xatol=3e-4, fatol=1e-5, maxfev=100)
+        res = bfgs(rng.uniform(0.0, 2.0 * np.pi, size=6), 1e-6, gtol=1e-3, maxiter=30)
         if res.fun < best_val:
             best_val = float(res.fun)
             best_angles = res.x
-    res = nelder_mead(lambda a: objective(a, gap_tol=1e-8), best_angles,
-                      xatol=1e-7, fatol=1e-9, maxfev=400)
+    res = bfgs(best_angles, 1e-8, gtol=1e-6, maxiter=100)
     if res.fun < best_val:
         best_val = float(res.fun)
         best_angles = res.x

@@ -24,6 +24,8 @@ def test_pair_cone_minimum():
     info = solve_sdp(np.ones(1), [_PAIR_CONE], np.array([3.0]))
     assert info.value == pytest.approx(1.0, abs=1e-8)
     assert info.x[0] == pytest.approx(1.0, abs=1e-8)
+    assert info.multipliers is None  # no equality rows
+    assert info.z.shape == (2, 2)
 
 
 @pytest.mark.parametrize("gap_tol", [1e-6, 1e-9])
@@ -54,6 +56,8 @@ def test_complex_data_minimum():
     psd = ConeConstraint(a0=np.zeros((4, 4), dtype=complex), basis=basis)
     info = solve_sdp(c, [psd], x0, trace[None])
     assert info.value == pytest.approx(np.linalg.eigvalsh(c_mat)[0], abs=1e-8)
+    # C - Z - nu 1 = 0 with Z >= 0 singular: the trace row's multiplier is the minimum
+    assert info.multipliers[0] == pytest.approx(np.linalg.eigvalsh(c_mat)[0], abs=1e-8)
     assert trace @ info.x == pytest.approx(1.0, abs=1e-12)
     assert info.value - info.dual_value == pytest.approx(info.gap, abs=1e-12)
 
@@ -158,3 +162,6 @@ def test_redundant_equality_rows_hold_at_the_solution():
     info = solve_sdp(c, [psd], x0, a_eq)
     np.testing.assert_allclose(a_eq @ info.x, a_eq @ x0, rtol=0.0, atol=1e-12)
     assert info.value == c @ info.x
+    # the multipliers close the KKT system c - A*(Z) = a_eq^T nu despite the redundant row
+    a_z = np.einsum("kij,ji->k", basis, info.z).real
+    assert np.abs(c - a_z - a_eq.T @ info.multipliers).max() <= 1e-8

@@ -1,5 +1,7 @@
 """Tests for the two-qubit resource machinery and the convex verifiers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -345,8 +347,63 @@ class TestCrSolvers:
 
         monkeypatch.setattr(twoqubit, "cr_fixed_basis", fail)
         rho = density_state(np.eye(4) / 4, (2, 2))
-        with pytest.raises(SolverFailure, match="no product basis"):
+        message = "no product basis gave a finite C_R: best inf in 1 restarts"
+        with pytest.raises(SolverFailure, match=message):
             cr_min_over_product_bases(rho, restarts=1, seed=0xC2)
+
+    def test_search_survives_partial_solve_failures(self, monkeypatch, i3322_scenario):
+        # a failed basis is rejected; the line searches go on around it, and no
+        # RuntimeWarning escapes (the suite turns them into errors)
+        calls = itertools.count(1)
+        solve = twoqubit.cr_min_for_value
+
+        def flaky(*args, **kwargs):
+            if next(calls) % 3 == 0:
+                raise SolverFailure("forced")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(twoqubit, "cr_min_for_value", flaky)
+        op = bell.build_bell_operator(i3322_scenario)
+        value, _ = cr_min_over_product_bases(
+            None, restarts=1, seed=0xB311, target_op=op, target=4.001
+        )
+        assert next(calls) > 10
+        assert I3322_ER - 1e-8 <= value <= I3322_PR
+
+    @pytest.mark.parametrize(
+        "rho, with_op, target",
+        [(None, False, None), (np.eye(4) / 4, False, 2.2), (np.eye(4) / 4, True, 2.2)],
+        ids=["neither", "target-without-op", "rho-with-op"],
+    )
+    def test_search_needs_exactly_one_mode(self, chsh_op, rho, with_op, target):
+        op = chsh_op if with_op else None
+        with pytest.raises(ValueError, match="rho, or target_op"):
+            cr_min_over_product_bases(rho, restarts=1, seed=0xC3, target_op=op, target=target)
+
+    def test_bench_configuration_search(self, i3322_scenario):
+        op = bell.build_bell_operator(i3322_scenario)
+        value, basis = cr_min_over_product_bases(
+            None, restarts=1, seed=0xB311, target_op=op, target=4.001
+        )
+        assert I3322_ER - 1e-8 <= value <= 0.8419288
+        assert np.abs(basis.conj().T @ basis - np.eye(4)).max() <= 1e-10
+        # a Kronecker product a (x) b has a rank-1 realignment
+        realigned = basis.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        sv = np.linalg.svd(realigned, compute_uv=False)
+        assert sv[1] <= 1e-10 * sv[0]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_joint_gradient_matches_differences(self, i3322_scenario, seed):
+        op = bell.build_bell_operator(i3322_scenario)
+        _check_angle_gradient(
+            lambda u, **kw: cr_min_for_value(op, 4.001, u, gap_tol=1e-9, **kw), seed
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fixed_basis_gradient_matches_differences(self, seed):
+        g = default_rng(0x6D).normal(size=(4, 4)) + 1j * default_rng(0x6E).normal(size=(4, 4))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real  # full rank
+        _check_angle_gradient(lambda u, **kw: cr_fixed_basis(rho, u, gap_tol=1e-9, **kw), seed)
 
     def test_joint_cr_at_least_joint_er(self, chsh_op):
         c_r = cr_min_for_value(chsh_op, 2.2, np.eye(4))
@@ -359,6 +416,24 @@ class TestCrSolvers:
             assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
         u = product_basis_matrix(np.zeros(6))
         assert np.abs(u - np.eye(4)).max() <= 1e-12
+
+
+I3322_ER = 0.8291711375  # E_R of the three-setting fixture at 4.001
+I3322_PR = 2.6757  # about its P_R, the top of the resource hierarchy
+
+
+def _check_angle_gradient(program, seed, h=1e-5):
+    """program(U, gradient=True)'s G, chained to the six angles, against central differences."""
+    angles = default_rng(seed).uniform(0.0, 2.0 * np.pi, size=6)
+    value, g_u = program(product_basis_matrix(angles), gradient=True)
+    assert value == program(product_basis_matrix(angles))
+    grad = np.einsum("kij,ij->k", twoqubit._angle_jacobian(angles), g_u.conj()).real
+
+    def moved(step):
+        return program(product_basis_matrix(angles + step))
+
+    diffs = [(moved(step) - moved(-step)) / (2.0 * h) for step in h * np.eye(6)]
+    np.testing.assert_allclose(grad, diffs, rtol=0.0, atol=1e-4 * (1.0 + np.abs(grad).max()))
 
 
 def test_bell_basis_is_orthonormal():
