@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, Infeasible, OutOfRange
+from .errors import DimMismatch, Infeasible, OutOfRange, SolverFailure
 from .linalg import DensityState, Spectrum, density_state, eig_hermitian, state_functionals
 
 _NEG_TOL = 1e-12
@@ -37,21 +37,33 @@ def _prep_mu(mu, d: int) -> np.ndarray:
     return mu
 
 
+def _tol(mu):
+    """Tolerance on the Bell-value scale: 1e-12 of the spread mu1 - mu_d (mu descending)."""
+    return 1e-12 * (mu[..., 0] - mu[..., -1])
+
+
 def _clamp_target(mu: np.ndarray, target: float) -> float:
-    """target clamped into [Tr(I)/d, mu1]; Infeasible if it lies outside by more than 1e-12."""
+    """target clamped into [Tr(I)/d, mu1], to mu1 within _tol(mu); Infeasible beyond _tol(mu)."""
     mean = float(mu.mean())
-    if target > mu[0] + 1e-12:
+    tol = _tol(mu)
+    if target > mu[0] + tol:
         raise Infeasible(f"target {target} exceeds the top eigenvalue {mu[0]}")
-    if target < mean - 1e-12:
+    if target < mean - tol:
         raise Infeasible(
             f"target {target} below Tr(I)/d = {mean}; use ascending=True for the other branch"
         )
-    return min(max(target, mean), float(mu[0]))
+    return float(mu[0]) if target >= mu[0] - tol else max(target, mean)
+
+
+def _check_interior(mu: np.ndarray, target: float) -> None:
+    """Infeasible unless Tr(I)/d <= target < mu1, both up to _tol(mu)."""
+    if not mu.mean() - _tol(mu) <= target < mu[0] - _tol(mu):
+        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mu.mean()}, {mu[0]})")
 
 
 def _top_space(mu: np.ndarray) -> np.ndarray:
-    """Uniform weights on the top eigenspace of mu: the least pure state at Bell value mu1."""
-    n_deg = int(np.sum(mu[0] - mu <= 1e-12 * (1.0 + abs(mu[0]))))
+    """Uniform weights on the levels within _tol(mu) of mu1: the least pure state at mu1."""
+    n_deg = int(np.sum(mu[0] - mu <= _tol(mu)))
     return np.full(n_deg, 1.0 / n_deg)
 
 
@@ -65,26 +77,24 @@ def _greedy(lam1: float, r: int) -> np.ndarray:
 def _lagrange(mu: np.ndarray, value_at) -> tuple[float, np.ndarray]:
     """Lagrange rank ansatz: the first rank r = d, d-1, ... with nonnegative weights.
 
-    On the top r levels, with g and h the sum and the sum of squares of
-    mu[:r] and disc = r h - g^2, the stationary weights at Bell value t are
-    ((r t - g) mu_k + h - g t) / disc.  value_at(r, g, disc) gives t, or None
-    to skip the rank; ranks whose top levels are degenerate (disc ~ 0) are
-    skipped too.  Returns (t, weights).
+    Only ranks above the top eigenspace are scanned.  On the top r levels,
+    with a their mean and s = sum (mu_k - a)^2 > 0, the stationary weights at
+    Bell value t are lambda_k = 1/r + (t - a)(mu_k - a)/s, whose purity is
+    1/r + (t - a)^2/s.  value_at(r, a, s) gives t, or None to skip the rank.
+    Returns (t, weights).
     """
-    for r in range(len(mu), 0, -1):
-        g = float(mu[:r].sum())
-        h = float((mu[:r] ** 2).sum())
-        disc = h * r - g * g
-        if disc <= 1e-12 * (1.0 + h * r):
-            continue
-        value = value_at(r, g, disc)
+    for r in range(len(mu), len(_top_space(mu)), -1):
+        a = float(mu[:r].mean())
+        centred = mu[:r] - a
+        s = float((centred**2).sum())
+        value = value_at(r, a, s)
         if value is None:
             continue
-        lam = ((r * value - g) * mu[:r] + h - g * value) / disc
+        lam = 1.0 / r + (value - a) * centred / s
         if lam.min() >= -_NEG_TOL:
             lam = np.clip(lam, 0.0, None)
             return value, lam / lam.sum()
-    raise Infeasible("no rank admits nonnegative Lagrange weights")  # pragma: no cover
+    raise Infeasible("no rank admits nonnegative Lagrange weights")
 
 
 def _assemble(vectors: np.ndarray, weights: np.ndarray, dims) -> DensityState:
@@ -131,15 +141,11 @@ def min_lambda1_for_value(mu, target: float, d: int, *, ascending: bool = False)
         return _below_mean(min_lambda1_for_value, mu, target, d)
     mu = _prep_mu(mu, d)
     target = _clamp_target(mu, target)
-    if abs(target - mu[0]) <= 1e-12:
-        lam = _top_space(mu)
-        return RankSolution(lam, float(mu[0]), d / len(lam) - 1.0)
-    for r in range(2, d + 1):
-        denom = float(mu[:r - 1].sum() - (r - 1) * mu[r - 1])
-        if denom <= 1e-15:
-            # top r eigenvalues degenerate: uniform weights reach mu[0] only
-            continue
-        lam1 = (target - mu[r - 1]) / denom
+    top = _top_space(mu)
+    if target == mu[0]:
+        return RankSolution(top, target, d / len(top) - 1.0)
+    for r in range(len(top) + 1, d + 1):
+        lam1 = (target - mu[r - 1]) / float(mu[:r - 1].sum() - (r - 1) * mu[r - 1])
         upper = 1.0 / (r - 1)
         if 1.0 / r - 1e-12 <= lam1 < upper + 1e-12:
             lam1 = min(max(lam1, 1.0 / r), 1.0)
@@ -160,10 +166,10 @@ def max_value_given_renyi2(mu, p2: float, d: int) -> RankSolution:
         r = max(1, int(np.floor(1.0 / purity + 1e-9)))
         return RankSolution(_two_level(purity, min(r, n_deg)), float(mu[0]), p2)
 
-    def value_at(r: int, g: float, disc: float) -> float | None:
+    def value_at(r: int, a: float, s: float) -> float | None:
         if purity < 1.0 / r - 1e-12:
             return None
-        return (g + np.sqrt(max(0.0, (r * purity - 1.0) * disc))) / r
+        return a + np.sqrt(max(0.0, (purity - 1.0 / r) * s))
 
     value, lam = _lagrange(mu, value_at)
     return RankSolution(lam, float(value), p2)
@@ -195,10 +201,10 @@ def min_renyi2_for_value(mu, target: float, d: int, *, ascending: bool = False) 
         return _below_mean(min_renyi2_for_value, mu, target, d)
     mu = _prep_mu(mu, d)
     target = _clamp_target(mu, target)
-    if abs(target - mu[0]) <= 1e-12:
+    if target == mu[0]:
         lam = _top_space(mu)
-        return RankSolution(lam, float(mu[0]), float(np.log2(d * lam[0])))
-    _, lam = _lagrange(mu, lambda r, g, disc: target)
+        return RankSolution(lam, target, float(np.log2(d * lam[0])))
+    _, lam = _lagrange(mu, lambda r, a, s: target)
     return RankSolution(lam, target, float(np.log2(d * (lam**2).sum())))
 
 
@@ -208,23 +214,21 @@ def min_relent_purity_for_value(op, target: float) -> tuple[float, float, Densit
     The entropy maximizer under a linear constraint is the Gibbs state
     rho(beta) = e^{beta I} / Tr e^{beta I}; beta >= 0 is found by bisection on
     the monotone constraint residual, stopping once it is within 1e-10 or
-    after 200 halvings.
+    after 200 halvings.  SolverFailure if the target needs beta above 1e8.
     """
     spec = eig_hermitian(op)
     mu = spec.values
     d = len(mu)
-    mean = float(mu.mean())
-    if target >= mu[0] - 1e-12:
-        raise Infeasible(f"target {target} is attained only as beta -> infinity")
-    if target < mean - 1e-12:
-        raise Infeasible(f"target {target} below Tr(I)/d = {mean}")
+    _check_interior(mu, target)
 
     def expectation(beta: float) -> float:
         w = np.exp(beta * (mu - mu[0]))  # shift for stability
         return float((mu * w).sum() / w.sum())
 
     hi = 1.0
-    while expectation(hi) < target and hi < 1e8:
+    while expectation(hi) < target:
+        if hi >= 1e8:
+            raise SolverFailure(f"target {target} needs beta above {hi:g}")
         hi *= 2.0
     lo = 0.0
     for _ in range(200):

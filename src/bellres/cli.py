@@ -187,14 +187,16 @@ def cmd_relent_compare(args) -> int:
     curve = twoqubit.min_er_vs_c_curve(args.v, c)
     mu = twoqubit.chsh_eigenvalues(c)
     target = 2.0 + args.v
-    # the Gibbs state reaches the target only strictly below mu1
-    feasible = target <= mu[:, 0] - 1e-12
-    log_rob = np.where(feasible, np.log2(1.0 + curve.p_r), np.nan)
     p2 = np.full(len(c), np.nan)
     s_p = np.full(len(c), np.nan)
-    for k in np.flatnonzero(feasible):
+    for k in range(len(c)):
+        try:  # the Gibbs state reaches the target only strictly below mu1
+            s_p[k], _, _ = bounds.min_relent_purity_for_value(np.diag(mu[k]), target)
+        except Infeasible:
+            continue
         p2[k] = bounds.min_renyi2_for_value(mu[k], target, 4).resource
-        s_p[k], _, _ = bounds.min_relent_purity_for_value(np.diag(mu[k]), target)
+    feasible = np.isfinite(s_p)
+    log_rob = np.where(feasible, np.log2(1.0 + curve.p_r), np.nan)
     _emit_csv(
         ["C", "log_robustness", "renyi2_purity", "relent_purity", "feasible"],
         [c, log_rob, p2, s_p, feasible],

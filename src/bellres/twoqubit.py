@@ -15,8 +15,8 @@ import numpy as np
 
 from . import barrier
 from .barrier import ConeConstraint, hermitian_basis, hermitian_from_params, params_from_hermitian
-from .bounds import construct_optimal_state, min_lambda1_for_value
-from .errors import Infeasible, NotBellDiagonal, OutOfRange, SolverFailure
+from .bounds import _check_interior, _tol, construct_optimal_state, min_lambda1_for_value
+from .errors import NotBellDiagonal, OutOfRange, SolverFailure
 from .linalg import DensityState, Spectrum, density_state, eig_hermitian, partial_transpose
 
 _B = (1.0 / np.sqrt(2.0)) * np.array(
@@ -193,7 +193,7 @@ def _rank2_curve(x, mu: np.ndarray, local: float, v: float) -> np.recarray:
         raise OutOfRange(f"violation must be positive, got {v}")
     target = local + v
     mu1, mu2 = mu[..., 0], mu[..., 1]
-    feasible = target <= mu1 + 1e-12
+    feasible = target <= mu1 + _tol(mu)
     with np.errstate(divide="ignore", invalid="ignore"):  # mu1 = mu2 only where infeasible
         lam1 = np.where(feasible, np.minimum(1.0, (target - mu2) / (mu1 - mu2)), np.nan)
     return np.rec.fromarrays(
@@ -262,9 +262,8 @@ def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float
     """
     spec = eig_hermitian(op)
     mu = spec.values
+    _check_interior(mu, target)
     mean = float(mu.mean())
-    if not mean - 1e-12 <= target < mu[0] - 1e-12:
-        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mean}, {mu[0]})")
     n, k = len(_H4), len(c_y)
     # x = (rho params, y params)
     cones = [

@@ -3,10 +3,16 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 from bellres import bell, twoqubit
 
 HIERARCHY_SLACK = 1e-9
+
+# no per-example deadline (timing varies with load); a failing property prints
+# the blob that replays it with @reproduce_failure
+settings.register_profile("tier1", deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 # every ResourceReport built during the run, for criterion 9 and the final audit
 _REPORTS: list = []

@@ -1,8 +1,10 @@
 """Tests for the closed-form minimal-purity / maximal-value solvers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellres import bell
@@ -14,7 +16,7 @@ from bellres.bounds import (
     min_relent_purity_for_value,
     min_renyi2_for_value,
 )
-from bellres.errors import DimMismatch, Infeasible, OutOfRange
+from bellres.errors import DimMismatch, Infeasible, OutOfRange, SolverFailure
 from bellres.linalg import eig_hermitian, state_functionals
 from bellres.oracles import default_rng, min_purity_nelder_mead
 
@@ -30,6 +32,19 @@ def _random_mu(rng, d, min_gap=0.05):
         mu = np.sort(rng.normal(size=d) * 3)[::-1]
         if np.diff(mu).max() < -min_gap:
             return mu
+
+
+def _exact_renyi2(mu, target) -> float:
+    """P2 of the Lagrange rank ansatz in exact rational arithmetic on the float inputs."""
+    mu = [Fraction(float(m)) for m in mu]
+    t = Fraction(float(target))
+    for r in range(len(mu), 1, -1):
+        a = sum(mu[:r]) / r
+        s = sum((m - a) ** 2 for m in mu[:r])
+        lam = [Fraction(1, r) + (t - a) * (m - a) / s for m in mu[:r]]
+        if min(lam) >= 0:
+            return float(np.log2(len(mu) * float(sum(x * x for x in lam))))
+    raise AssertionError("no rank admits nonnegative weights")
 
 
 class TestMaxValueGivenProbustness:
@@ -103,6 +118,23 @@ class TestMinLambda1ForValue:
         with pytest.raises(Infeasible):
             min_lambda1_for_value(MU4, 4.5, 4)
 
+    def test_scale_of_the_operator_does_not_move_the_answer(self):
+        mu = np.array([2.0, 0.5, -0.3, -1.2])
+        target = mu[0] - 1e-10 * (mu[0] - mu.mean())
+        assert min_lambda1_for_value(mu, target, 4).resource == pytest.approx(
+            2.9999999995, abs=1e-10
+        )
+        small = min_lambda1_for_value(mu * 1e-6, target * 1e-6, 4)
+        assert small.resource == pytest.approx(2.9999999995, abs=1e-10)
+
+    @pytest.mark.parametrize("solve", [min_lambda1_for_value, min_renyi2_for_value])
+    def test_target_two_ulps_above_top_counts_as_top(self, solve):
+        mu = np.array([2.0, 0.5, -0.3, -1.2]) * 1e6
+        target = np.nextafter(np.nextafter(mu[0], np.inf), np.inf)
+        sol = solve(mu, target, 4)
+        assert sol.value == mu[0]
+        assert np.array_equal(sol.lambdas, [1.0])
+
     def test_below_mean_needs_flag(self):
         with pytest.raises(Infeasible):
             min_lambda1_for_value(MU4, 0.0, 4)
@@ -173,6 +205,15 @@ class TestMinRenyi2ForValue:
         with pytest.raises(Infeasible):
             min_renyi2_for_value(MU4, 0.0, 4)
 
+    def test_near_degenerate_top_pair_matches_exact_arithmetic(self):
+        # the top pair lies 1e-7 apart: rank 2 is the answer, not a degenerate top space
+        mu = np.array([1.0, 1.0 - 1e-7, 0.0, -1.0])
+        target = 1.0 - 1e-9
+        sol = min_renyi2_for_value(mu, target, 4)
+        assert sol.rank == 2
+        assert sol.resource == pytest.approx(_exact_renyi2(mu, target), abs=1e-9)
+        assert sol.resource == pytest.approx(1.9711480526610, abs=1e-9)
+
     def test_below_mean_branch(self):
         mu = np.array([3.0, 1.0, 0.0, -2.0])  # mean 0.5
         sol = min_renyi2_for_value(mu, 0.0, 4, ascending=True)
@@ -222,6 +263,11 @@ class TestMinRelentPurity:
         with pytest.raises(Infeasible):
             min_relent_purity_for_value(chsh_op, TSIRELSON)
 
+    def test_target_beyond_the_beta_cap_raises(self):
+        # reaching 1e-11 below mu1 across a 1e-9 top gap needs beta near 5e9
+        with pytest.raises(SolverFailure):
+            min_relent_purity_for_value(np.diag([1.0, 1.0 - 1e-9, 0.0, -1.0]), 1.0 - 1e-11)
+
     def test_monotone_decreasing_in_c(self):
         from bellres.twoqubit import chsh_eigenvalues
 
@@ -247,6 +293,105 @@ class TestMinRelentPurity:
             np.trace(rank_state.matrix @ op).real, abs=1e-7
         )
         assert np.linalg.norm(gibbs.matrix - rank_state.matrix) > 1e-6
+
+
+def _spectrum(seed: int, d: int, kind: str) -> np.ndarray:
+    """Descending spectrum: random, with a repeated top level, or a top gap of 1e-7 |mu1|."""
+    mu = np.sort(np.random.default_rng(seed).normal(size=d) * 3)[::-1]
+    if kind == "degenerate":
+        mu[1] = mu[0]
+    elif kind == "near-degenerate":
+        mu[1] = mu[0] - 1e-7 * abs(mu[0])
+    return mu
+
+
+def _target(mu: np.ndarray, frac: float) -> float:
+    """The point frac of the way from Tr(I)/d to mu1."""
+    mean = mu.mean()
+    return float(min(mean + frac * (mu[0] - mean), mu[0]))
+
+
+_SPECTRA = st.builds(
+    _spectrum,
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.sampled_from(["random", "degenerate", "near-degenerate"]),
+)
+# fractions of the range [Tr(I)/d, mu1]; the ends and the points just below mu1
+# (the last two within the Bell-value tolerance of it) are drawn often
+_FRACS = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-13, 1.0])
+)
+
+
+class TestScaleRules:
+    """Properties of the closed forms under the Bell-value tolerance 1e-12 (mu1 - mu_d)."""
+
+    @given(_SPECTRA, _FRACS, st.integers(-40, 40))
+    def test_power_of_two_scaling_is_bit_identical(self, mu, frac, k):
+        # scaling by 2^k is exact in binary, so this tests the rules, not the rounding
+        d, target = len(mu), _target(mu, frac)
+        for solve in (min_lambda1_for_value, min_renyi2_for_value):
+            sol = solve(mu, target, d)
+            scaled = solve(mu * 2.0**k, target * 2.0**k, d)
+            assert scaled.resource == sol.resource
+            assert np.array_equal(scaled.lambdas, sol.lambdas)
+
+    @given(_SPECTRA, _FRACS, st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+    def test_affine_map_agrees(self, mu, frac, a, c):
+        # Rounding a (mu + c) moves each level by up to eps max|mu + c| in units of a,
+        # and the exact answer by about d times that over the smallest nonzero gap: on
+        # a 1e-7 gap with c = 1e3 that is 1e-5.  This is the problem's conditioning, not
+        # a defect, so the answers are held to 1e-8 only where each nonzero adjacent gap
+        # exceeds 1e-5 of max|mu + c|.  The shift b = a c is drawn in units of the scale:
+        # with a = 1e-3 and b = -611 the exact answers on the rounded levels of a
+        # well-separated spectrum already differ by 3e-8.
+        gaps = -np.diff(mu)
+        assume(np.all((gaps == 0) | (gaps > 1e-5 * np.abs(mu + c).max())))
+        mapped = a * (mu + c)
+        d = len(mu)
+        for solve in (min_lambda1_for_value, min_renyi2_for_value):
+            sol = solve(mu, _target(mu, frac), d)
+            moved = solve(mapped, _target(mapped, frac), d)
+            assert moved.resource == pytest.approx(sol.resource, abs=1e-8)
+
+    @given(_SPECTRA, _FRACS)
+    def test_round_trips(self, mu, frac):
+        d, target = len(mu), _target(mu, frac)
+        sol = min_lambda1_for_value(mu, target, d)
+        fwd = max_value_given_probustness(mu, sol.resource, d)
+        assert fwd.value == pytest.approx(sol.value, abs=1e-10 * (mu[0] - mu[-1]), rel=1e-14)
+        # P2 is flat in t at Tr(I)/d, where the t that max_value_given_renyi2 returns
+        # moves by about sqrt(eps) of the spread; the round trip closes in P2
+        sol = min_renyi2_for_value(mu, target, d)
+        fwd = max_value_given_renyi2(mu, sol.resource, d)
+        assert min_renyi2_for_value(mu, fwd.value, d).resource == pytest.approx(
+            sol.resource, abs=1e-10
+        )
+
+    @given(_SPECTRA, _FRACS)
+    def test_weights_are_a_probability_vector_on_the_target(self, mu, frac):
+        d, target = len(mu), _target(mu, frac)
+        for solve in (min_lambda1_for_value, min_renyi2_for_value):
+            lam = solve(mu, target, d).lambdas
+            assert lam.min() >= 0.0
+            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+            assert mu[: len(lam)] @ lam == pytest.approx(
+                target, abs=1e-10 * (mu[0] - mu[-1]), rel=1e-14
+            )
+
+    @given(_SPECTRA, _FRACS)
+    def test_ascending_is_the_negated_program(self, mu, frac):
+        d, negated = len(mu), -mu[::-1]
+        target = -_target(negated, frac)
+        for solve in (min_lambda1_for_value, min_renyi2_for_value):
+            sol = solve(mu, target, d, ascending=True)
+            ref = solve(negated, -target, d)
+            assert sol.value == target and sol.resource == ref.resource
+            assert np.array_equal(sol.lambdas, ref.lambdas)
+            assert mu[::-1][: sol.rank] @ sol.lambdas == pytest.approx(
+                target, abs=1e-10 * (mu[0] - mu[-1]), rel=1e-14
+            )
 
 
 class TestConstructOptimalState:

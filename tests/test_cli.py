@@ -30,6 +30,26 @@ def parse_csv(out):
     return header, rows
 
 
+def _diagonal_scenario(tmp_path, diag) -> str:
+    """Measurement-form scenario with Bell operator diag(diag).
+
+    One projective setting per party; coefficient c on (a, b, 0, 0) places c at
+    diagonal entry 2a + b.
+    """
+    proj0 = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]  # |0><0| as [re, im]
+    proj1 = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    doc = {
+        "dims": [2, 2],
+        "measurements": {"alice": [[proj0, proj1]], "bob": [[proj0, proj1]]},
+        "coefficients": [
+            {"a": k // 2, "b": k % 2, "x": 0, "y": 0, "c": c} for k, c in enumerate(diag)
+        ],
+    }
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestBound:
     def test_chsh_probustness(self, capsys):
         code, out, _ = run(capsys, ["bound", "--builtin", "chsh-c4", "--value", "0.2"])
@@ -78,6 +98,24 @@ class TestBound:
         code, out, _ = run(capsys, ["bound", "--builtin", "chsh-c4", "--target", "3.0"])
         assert code == 2
         assert json.loads(out)["feasible"] is False
+
+    def test_renyi2_near_degenerate_top_pair(self, capsys, tmp_path):
+        path = _diagonal_scenario(tmp_path, [1.0, 1.0 - 1e-7, 0.0, -1.0])
+        argv = ["bound", "--scenario", path, "--target", "0.999999999", "--measure", "renyi2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rank"] == 2
+        assert doc["resource_value"] == pytest.approx(1.9711480526610, abs=1e-9)
+
+    def test_relent_beyond_the_beta_cap_exits_3(self, capsys, tmp_path):
+        # 1e-11 below mu1 across a 1e-9 top gap needs beta near 5e9
+        path = _diagonal_scenario(tmp_path, [1.0, 1.0 - 1e-9, 0.0, -1.0])
+        argv = ["bound", "--scenario", path, "--target", "0.99999999999", "--measure", "relent"]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "solver failure" in err
 
     def test_steering_builtin(self, capsys):
         code, out, _ = run(capsys, ["bound", "--builtin", "steering-f2", "--value", "0.1"])
