@@ -9,9 +9,7 @@ with the optimal witnessing states.
 
 from .bell import (
     BellScenario,
-    CorrelationScenario,
     build_bell_operator,
-    build_correlation_operator,
     chsh_scenario,
     i3322_fixture,
     incompatibility,

@@ -54,27 +54,6 @@ class BellScenario:
         return (self.alice[0][0].shape[0], self.bob[0][0].shape[0])
 
 
-@dataclass
-class CorrelationScenario:
-    """Correlation-matrix form: g_{xy} with qubit observables from Bloch vectors."""
-
-    g: np.ndarray
-    bloch_a: np.ndarray
-    bloch_b: np.ndarray
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        self.bloch_a = np.asarray(self.bloch_a, dtype=float)
-        self.bloch_b = np.asarray(self.bloch_b, dtype=float)
-        for vecs in (self.bloch_a, self.bloch_b):
-            norms = np.linalg.norm(vecs, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-12:
-                raise NotUnit(f"Bloch vector norms {norms} deviate from 1")
-        settings = (len(self.bloch_a), len(self.bloch_b))
-        if self.g.shape != settings:
-            raise ValueError(f"g has shape {self.g.shape}, expected {settings} from the Bloch vectors")
-
-
 def observable_from_bloch(a) -> np.ndarray:
     """Traceless qubit observable a . sigma with eigenvalues +/-1."""
     v = np.asarray(a, dtype=float)
@@ -89,17 +68,6 @@ def build_bell_operator(s: BellScenario) -> np.ndarray:
     for (a, b, x, y), c in s.coefficients.items():
         op += c * tensor(s.alice[x][a], s.bob[y][b])
     return (op + op.conj().T) / 2
-
-
-def build_correlation_operator(s: CorrelationScenario) -> np.ndarray:
-    obs_a = [observable_from_bloch(v) for v in s.bloch_a]
-    obs_b = [observable_from_bloch(v) for v in s.bloch_b]
-    op = np.zeros((4, 4), dtype=complex)
-    for x in range(s.g.shape[0]):
-        for y in range(s.g.shape[1]):
-            if s.g[x, y] != 0.0:
-                op += s.g[x, y] * tensor(obs_a[x], obs_b[y])
-    return op
 
 
 def _check_dichotomic(a) -> np.ndarray:
@@ -296,7 +264,7 @@ def steering_f2_scenario() -> tuple[np.ndarray, float]:
     return steering_operator_f2(PAULI_Z, PAULI_X), float(np.sqrt(2.0))
 
 
-def chsh_settings_for_c(c: float, party: str = "alice") -> tuple[np.ndarray, np.ndarray]:
+def chsh_settings_for_c(c: float) -> tuple[np.ndarray, np.ndarray]:
     """A pair of projective qubit observables with commutator norm c in [0, 2]."""
     if not 0.0 <= c <= 2.0:
         raise OutOfRange(f"single-party incompatibility must be in [0, 2], got {c}")

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, Infeasible, OutOfRange, SolverFailure
-from .linalg import DensityState, Spectrum, density_state, eig_hermitian, state_functionals
+from .errors import DimMismatch, Infeasible, OutOfRange
+from .linalg import DensityState, Spectrum, _tol, density_state, eig_hermitian, state_functionals
 
 _NEG_TOL = 1e-12
 
@@ -35,11 +35,6 @@ def _prep_mu(mu, d: int) -> np.ndarray:
     if len(mu) != d:
         raise OutOfRange(f"expected {d} eigenvalues, got {len(mu)}")
     return mu
-
-
-def _tol(mu):
-    """Tolerance on the Bell-value scale: 1e-12 of the spread mu1 - mu_d (mu descending)."""
-    return 1e-12 * (mu[..., 0] - mu[..., -1])
 
 
 def _clamp_target(mu: np.ndarray, target: float) -> float:
@@ -212,38 +207,40 @@ def min_relent_purity_for_value(op, target: float) -> tuple[float, float, Densit
     """Minimal relative entropy of purity log d - S(rho) at Tr(rho I) = target.
 
     The entropy maximizer under a linear constraint is the Gibbs state
-    rho(beta) = e^{beta I} / Tr e^{beta I}; beta >= 0 is found by bisection on
-    the monotone constraint residual, stopping once it is within 1e-10 or
-    after 200 halvings.  SolverFailure if the target needs beta above 1e8.
+    rho(beta) = e^{beta I} / Tr e^{beta I}, beta >= 0.  The search runs on
+    the normalised levels z = (mu - mu1)/(mu1 - mu_d) in [-1, 0] and target
+    tau alike, so it does not see the operator's scale or offset: b = beta
+    (mu1 - mu_d) is doubled until <z>_b >= tau, then bisected until the
+    bracket stops shrinking in floating point; beta = hi/(mu1 - mu_d).
     """
     spec = eig_hermitian(op)
     mu = spec.values
     d = len(mu)
     _check_interior(mu, target)
+    spread = mu[0] - mu[-1]
+    z = (mu - mu[0]) / spread
+    tau = (target - mu[0]) / spread
 
-    def expectation(beta: float) -> float:
-        w = np.exp(beta * (mu - mu[0]))  # shift for stability
-        return float((mu * w).sum() / w.sum())
+    def expectation(b: float) -> float:
+        w = np.exp(b * z)  # z <= 0 with z1 = 0: no overflow
+        return float((z * w).sum() / w.sum())
 
+    # the doubling ends: _check_interior gives tau < -1e-12, and <z>_b rises to 0 as b grows
     hi = 1.0
-    while expectation(hi) < target:
-        if hi >= 1e8:
-            raise SolverFailure(f"target {target} needs beta above {hi:g}")
+    while expectation(hi) < tau:
         hi *= 2.0
     lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if expectation(mid) < target:
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if expectation(mid) < tau:
             lo = mid
         else:
             hi = mid
-        if abs(expectation(0.5 * (lo + hi)) - target) <= 1e-10:
-            break
-    beta = 0.5 * (lo + hi)
-    w = np.exp(beta * (mu - mu[0]))
+        mid = 0.5 * (lo + hi)
+    w = np.exp(hi * z)
     state = _assemble(spec.vectors, w / w.sum(), (d,))
     s_p = float(np.log(d) - state_functionals(state).entropy)
-    return s_p, float(beta), state
+    return s_p, float(hi / spread), state
 
 
 def construct_optimal_state(sol: RankSolution, basis: Spectrum, dims=None) -> DensityState:

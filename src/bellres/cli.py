@@ -71,13 +71,10 @@ def load_scenario(path: str):
         raise ValueError("exactly one of 'measurements' or 'correlation' must be present")
     if "correlation" in doc:
         corr = doc["correlation"]
-        s = bell.CorrelationScenario(
-            g=corr["g"], bloch_a=corr["bloch_a"], bloch_b=corr["bloch_b"]
-        )
         scenario = bell.scenario_from_observables(
-            [bell.observable_from_bloch(a) for a in s.bloch_a],
-            [bell.observable_from_bloch(b) for b in s.bloch_b],
-            s.g,
+            [bell.observable_from_bloch(a) for a in corr["bloch_a"]],
+            [bell.observable_from_bloch(b) for b in corr["bloch_b"]],
+            corr["g"],
         )
     else:
         da, db = int(doc["dims"][0]), int(doc["dims"][1])

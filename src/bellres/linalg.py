@@ -53,14 +53,19 @@ class Spectrum:
         return len(self.values)
 
 
+def _tol(mu):
+    """Tolerance on the eigenvalue (Bell-value) scale: 1e-12 of mu1 - mu_d, mu descending."""
+    return 1e-12 * (mu[..., 0] - mu[..., -1])
+
+
 def eig_hermitian(a) -> Spectrum:
     """Deterministic eigendecomposition of a Hermitian matrix.
 
     Eigenvalues come out in descending order.  Each eigenvector's first
     nonzero entry (the first above 1e-12 of its largest) is made real
-    positive, and vectors inside a degenerate cluster are ordered
-    lexicographically by their interleaved (re, im) entries, so identical
-    inputs always produce identical output.
+    positive, and vectors inside a degenerate cluster (levels within _tol of
+    the cluster's first) are ordered lexicographically by their interleaved
+    (re, im) entries, so identical inputs always produce identical output.
     """
     m = check_hermitian(a)
     vals, vecs = np.linalg.eigh(m)
@@ -71,7 +76,7 @@ def eig_hermitian(a) -> Spectrum:
     vecs = vecs * (np.hypot(pivot.real, pivot.imag) / pivot)
     # deterministic ordering inside degenerate clusters
     levels = vals.tolist()
-    tol = 1e-9 * (1.0 + max(abs(levels[0]), abs(levels[-1])))
+    tol = float(_tol(vals))
     j = 0
     d = len(levels)
     while j < d:

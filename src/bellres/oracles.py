@@ -17,7 +17,6 @@ from .bounds import RankSolution
 from .errors import InfeasibleConstraint
 
 DEFAULT_SEED = 0xB311
-_REJECTION_CAP = 10**7
 
 
 def resolve_seed(seed: int | None = None) -> int:
@@ -40,42 +39,27 @@ class SamplerConfig:
 
 
 def _spectra_fixed_lambda1(rng: np.random.Generator, n: int, d: int, lam1: float) -> np.ndarray:
-    """Spectra with largest eigenvalue exactly lam1, rest uniform on the slice."""
+    """Spectra with largest eigenvalue exactly lam1, from one Dirichlet draw each.
+
+    The other d - 1 weights are drawn uniformly on the simplex of total
+    1 - lam1.  A draw whose top weight exceeds lam1 is pulled along the line
+    to the uniform tail u = (1 - lam1)/(d - 1) until that weight equals lam1;
+    draws already under the cap are kept as drawn.  Only the constraint
+    matters to the domination tests, not the sampling measure.
+    """
     if not 1.0 / d - 1e-12 <= lam1 <= 1.0 + 1e-12:
         raise InfeasibleConstraint(f"lambda1 must lie in [1/{d}, 1], got {lam1}")
     lam1 = min(max(lam1, 1.0 / d), 1.0)
-    rest_total = 1.0 - lam1
     out = np.empty((n, d))
     out[:, 0] = lam1
-    if d == 1 or rest_total <= 1e-15:
-        out[:, 1:] = 0.0
+    if d == 1:
         return out
-    filled = 0
-    attempts = 0
-    while filled < n:
-        batch = max(n - filled, 1024)
-        attempts += batch
-        if attempts > min(_REJECTION_CAP, 60 * n):
-            # acceptance too low near lam1 = 1/d: shrink rejected draws toward
-            # the uniform tail instead (only constraint correctness matters
-            # for the domination tests, not the sampling measure)
-            m = n - filled
-            y = rng.dirichlet(np.ones(d - 1), size=m)
-            uniform = 1.0 / (d - 1)
-            span = y.max(axis=1) - uniform
-            t_max = np.where(
-                span > 1e-15, (lam1 / rest_total - uniform) / np.maximum(span, 1e-15), 1.0
-            )
-            t = np.minimum(1.0, t_max) * rng.uniform(0.0, 1.0, size=m)
-            rest = rest_total * (uniform + t[:, None] * (y - uniform))
-            out[filled:, 1:] = rest
-            filled = n
-            break
-        rest = rng.dirichlet(np.ones(d - 1), size=batch) * rest_total
-        ok = rest.max(axis=1) <= lam1 + 1e-12
-        good = rest[ok][: n - filled]
-        out[filled : filled + len(good), 1:] = good
-        filled += len(good)
+    rest = out[:, 1:]
+    rest[:] = rng.dirichlet(np.ones(d - 1), size=n) * (1.0 - lam1)
+    u = (1.0 - lam1) / (d - 1)
+    top = rest.max(axis=1)
+    over = top > lam1  # top > lam1 >= u (to rounding), so top - u > 0 on every pulled row
+    rest[over] = u + ((lam1 - u) / (top[over] - u))[:, None] * (rest[over] - u)
     return out
 
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import barrier
 from .barrier import ConeConstraint, hermitian_basis, hermitian_from_params, params_from_hermitian
-from .bounds import _check_interior, _tol, construct_optimal_state, min_lambda1_for_value
+from .bounds import _check_interior, construct_optimal_state, min_lambda1_for_value
 from .errors import NotBellDiagonal, OutOfRange, SolverFailure
-from .linalg import DensityState, Spectrum, density_state, eig_hermitian, partial_transpose
+from .linalg import DensityState, Spectrum, _tol, density_state, eig_hermitian, partial_transpose
 
 _B = (1.0 / np.sqrt(2.0)) * np.array(
     [

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from bellres import bell
 from bellres.bell import (
     BellScenario,
-    CorrelationScenario,
     build_bell_operator,
-    build_correlation_operator,
     chsh_scenario,
     chsh_settings_for_c,
     i3322_fixture,
@@ -84,26 +82,36 @@ class TestBuildBellOperator:
 
 
 class TestBuildCorrelationOperator:
-    def test_chsh_equivalence(self):
-        s = CorrelationScenario(
-            g=[[1, 1], [1, -1]],
-            bloch_a=[[0, 0, 1], [1, 0, 0]],
-            bloch_b=[[1 / RT2, 0, 1 / RT2], [-1 / RT2, 0, 1 / RT2]],
+    """The correlation form: observables from Bloch vectors, weights g_xy on <A_x B_y>."""
+
+    @staticmethod
+    def _operator(g, bloch_a, bloch_b):
+        return build_bell_operator(
+            scenario_from_observables(
+                [observable_from_bloch(v) for v in bloch_a],
+                [observable_from_bloch(v) for v in bloch_b],
+                g,
+            )
         )
-        op = build_correlation_operator(s)
+
+    def test_chsh_equivalence(self):
+        op = self._operator(
+            [[1, 1], [1, -1]],
+            [[0, 0, 1], [1, 0, 0]],
+            [[1 / RT2, 0, 1 / RT2], [-1 / RT2, 0, 1 / RT2]],
+        )
         assert np.allclose(op, build_bell_operator(chsh_scenario()), atol=1e-12)
 
     def test_zero(self):
-        s = CorrelationScenario(g=[[0.0]], bloch_a=[[0, 0, 1]], bloch_b=[[0, 0, 1]])
-        assert np.abs(build_correlation_operator(s)).max() == 0.0
+        assert np.abs(self._operator([[0.0]], [[0, 0, 1]], [[0, 0, 1]])).max() == 0.0
 
     def test_single_term(self):
-        s = CorrelationScenario(g=[[1.0]], bloch_a=[[0, 0, 1]], bloch_b=[[0, 0, 1]])
-        assert np.allclose(build_correlation_operator(s), tensor(PAULI_Z, PAULI_Z))
+        op = self._operator([[1.0]], [[0, 0, 1]], [[0, 0, 1]])
+        assert np.allclose(op, tensor(PAULI_Z, PAULI_Z))
 
     def test_bad_bloch(self):
         with pytest.raises(NotUnit):
-            CorrelationScenario(g=[[1.0]], bloch_a=[[0, 0, 2]], bloch_b=[[0, 0, 1]])
+            self._operator([[1.0]], [[0, 0, 2]], [[0, 0, 1]])
 
 
 class TestSteeringOperator:

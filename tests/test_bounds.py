@@ -16,8 +16,8 @@ from bellres.bounds import (
     min_relent_purity_for_value,
     min_renyi2_for_value,
 )
-from bellres.errors import DimMismatch, Infeasible, OutOfRange, SolverFailure
-from bellres.linalg import eig_hermitian, state_functionals
+from bellres.errors import DimMismatch, Infeasible, OutOfRange
+from bellres.linalg import _tol, eig_hermitian, state_functionals
 from bellres.oracles import default_rng, min_purity_nelder_mead
 
 RT2 = np.sqrt(2.0)
@@ -263,10 +263,19 @@ class TestMinRelentPurity:
         with pytest.raises(Infeasible):
             min_relent_purity_for_value(chsh_op, TSIRELSON)
 
-    def test_target_beyond_the_beta_cap_raises(self):
+    def test_target_needing_a_large_beta_is_met(self):
         # reaching 1e-11 below mu1 across a 1e-9 top gap needs beta near 5e9
-        with pytest.raises(SolverFailure):
-            min_relent_purity_for_value(np.diag([1.0, 1.0 - 1e-9, 0.0, -1.0]), 1.0 - 1e-11)
+        mu = np.array([1.0, 1.0 - 1e-9, 0.0, -1.0])
+        _, beta, state = min_relent_purity_for_value(np.diag(mu), 1.0 - 1e-11)
+        assert beta > 1e9
+        assert abs(np.trace(state.matrix @ np.diag(mu)).real - (1.0 - 1e-11)) <= _tol(mu)
+
+    def test_tiny_operator_gets_the_answer_at_scale_one(self):
+        mu = np.array([2.0, 0.5, -0.3, -1.2])
+        target = _target(mu, 0.9)
+        s_p, beta, _ = min_relent_purity_for_value(np.diag(mu), target)
+        tiny = min_relent_purity_for_value(np.diag(mu * 2.0**-30), target * 2.0**-30)
+        assert tiny[:2] == (s_p, beta * 2.0**30)
 
     def test_monotone_decreasing_in_c(self):
         from bellres.twoqubit import chsh_eigenvalues
@@ -324,6 +333,14 @@ _FRACS = st.one_of(
 )
 
 
+def _relent(mu: np.ndarray, target: float):
+    """(S_P, beta) of the diagonal operator mu, or None where the target is Infeasible."""
+    try:
+        return min_relent_purity_for_value(np.diag(mu), target)[:2]
+    except Infeasible:
+        return None
+
+
 class TestScaleRules:
     """Properties of the closed forms under the Bell-value tolerance 1e-12 (mu1 - mu_d)."""
 
@@ -336,6 +353,12 @@ class TestScaleRules:
             scaled = solve(mu * 2.0**k, target * 2.0**k, d)
             assert scaled.resource == sol.resource
             assert np.array_equal(scaled.lambdas, sol.lambdas)
+        ref, scaled = _relent(mu, target), _relent(mu * 2.0**k, target * 2.0**k)
+        assert (ref is None) == (scaled is None)
+        if ref is not None:
+            assert scaled[0] == ref[0]
+            # beta = b/(mu1 - mu_d) is exact unless b is subnormal, as at Tr(I)/d
+            assert scaled[1] * 2.0**k == pytest.approx(ref[1], rel=1e-15, abs=1e-300)
 
     @given(_SPECTRA, _FRACS, st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
     def test_affine_map_agrees(self, mu, frac, a, c):
@@ -354,6 +377,14 @@ class TestScaleRules:
             sol = solve(mu, _target(mu, frac), d)
             moved = solve(mapped, _target(mapped, frac), d)
             assert moved.resource == pytest.approx(sol.resource, abs=1e-8)
+        # within _tol of mu1 relent is Infeasible, and the rounded target may fall either side
+        ref, moved = _relent(mu, _target(mu, frac)), _relent(mapped, _target(mapped, frac))
+        if ref is not None and moved is not None:
+            assert moved[0] == pytest.approx(ref[0], abs=1e-8)
+            # beta ~ log 1/(mu1 - t): closer to mu1 than 1e-6 of the range, the rounding
+            # of the mapped target moves it by more than 1e-6 of itself
+            if frac <= 1.0 - 1e-6:
+                assert moved[1] * a == pytest.approx(ref[1], rel=1e-6, abs=1e-9 / (mu[0] - mu[-1]))
 
     @given(_SPECTRA, _FRACS)
     def test_round_trips(self, mu, frac):

@@ -13,6 +13,7 @@ from bellres.linalg import (
     PAULI_Y,
     PAULI_Z,
     DensityState,
+    _tol,
     check_hermitian,
     commutator_norm,
     density_state,
@@ -52,11 +53,11 @@ def _eig_loop(a):
         v = vecs[:, j]
         pivot = v[np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0]]
         vecs[:, j] = v * (abs(pivot) / pivot)
-    scale = 1.0 + np.abs(vals).max()
+    tol = 1e-12 * (vals[0] - vals[-1])
     j = 0
     while j < len(vals):
         k = j + 1
-        while k < len(vals) and vals[j] - vals[k] <= 1e-9 * scale:
+        while k < len(vals) and vals[j] - vals[k] <= tol:
             k += 1
         order = sorted(
             range(j, k),
@@ -105,6 +106,13 @@ class TestEigHermitian:
             vals, vecs = _eig_loop(a)
             assert np.array_equal(spec.values, vals)
             assert np.array_equal(spec.vectors, vecs)
+
+    def test_near_degenerate_levels_keep_their_vectors(self):
+        # a 1e-10 gap is far above _tol, so the two top levels are not one cluster
+        a = np.diag([1.0, 1.0 - 1e-10, 0.0, -1.0]) + 0j
+        spec = eig_hermitian(a)
+        rayleigh = np.einsum("ik,ij,jk->k", spec.vectors.conj(), a, spec.vectors).real
+        assert np.abs(rayleigh - spec.values).max() <= _tol(spec.values)
 
     def test_pauli_z(self):
         spec = eig_hermitian(PAULI_Z)
