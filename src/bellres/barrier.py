@@ -77,11 +77,12 @@ _SCHUR_CUT = 1e-14  # Schur eigenvalues below this share of the largest are drop
 class SolveInfo:
     """A certified solve: x, c.x, the dual objective -Re tr(A0 Z), tr(S(x) Z) and iterations.
 
-    All in the caller's variables; with equality rows the dual objective is
-    c.x0 - Re tr(S(x0) Z), the dual of the program in z plus c.x0.  z is the
-    block-diagonal dual matrix over the cones in their order; multipliers
-    holds nu with c - A*(Z) = a_eq^T nu, one entry per row of a_eq (None
-    without rows), where A*(Z)_i = Re tr(A_i Z) over the caller's cones.
+    All in the caller's variables; the dual objective is c.x0 - Re tr(S(x0) Z),
+    the dual of the program in z plus c.x0, which equals -Re tr(A0 Z) where
+    A*(Z) = c.  z is the block-diagonal dual matrix over the cones in their
+    order; multipliers holds nu with c - A*(Z) = a_eq^T nu, one entry per row
+    of a_eq (None without rows), where A*(Z)_i = Re tr(A_i Z) over the
+    caller's cones.
     """
 
     x: np.ndarray
@@ -132,7 +133,7 @@ def solve_sdp(
     x = x0 + N z, where N is an orthonormal basis of the null space of a_eq
     (singular values at or below 1e-12 of max(1, the largest) count as zero),
     with the cones shifted to S_k(x0) and z starting at 0.  Every row then
-    holds at the returned x up to rounding.  Without a_eq it runs on x itself.
+    holds at the returned x up to rounding.  Without a_eq, N = I and x = x0 + z.
 
     Z starts at S(x0)^-1.  Each iteration factors the Schur matrix M_ij =
     Re tr(A_i Z A_j S^-1) once for an affine predictor and a corrector with
@@ -148,16 +149,18 @@ def solve_sdp(
     """
     c_x = np.asarray(c, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    c, x, null, shifted = c_x, x0.copy(), None, cones
-    if a_eq is not None:  # from here on c and x are N^T c and z
-        u, sv, vt = np.linalg.svd(np.atleast_2d(np.asarray(a_eq, dtype=float)))
-        rank = int(np.sum(sv > 1e-12 * sv.max(initial=1.0)))
-        null = vt[rank:].T
-        shifted = [ConeConstraint(cone.evaluate(x0), np.tensordot(null.T, cone.basis, axes=(1, 0)))
-                   for cone in cones]
-        c, x = null.T @ c_x, np.zeros(null.shape[1])
-    cone = _stack(shifted)
-    n, m, _ = cone.basis.shape
+    rows = np.zeros((0, len(x0))) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    u, sv, vt = np.linalg.svd(rows)  # without rows vt = I exactly, so N = I
+    rank = int(np.sum(sv > 1e-12 * sv.max(initial=1.0)))
+    null = vt[rank:].T
+    caller = _stack(cones)
+    m = caller.a0.shape[0]
+    # from here on c and x are N^T c and z, and the cone is S(x0 + N z); N^T A is a
+    # real product over the (re, im) pairs of A
+    basis = (null.T @ caller.basis.view(float).reshape(len(x0), -1)).view(complex)
+    cone = ConeConstraint(caller.evaluate(x0), basis.reshape(-1, m, m))
+    c, x = null.T @ c_x, np.zeros(null.shape[1])
+    n = len(c)
     flat = cone.basis.view(float).reshape(n, -1)
     dual_tol = 1e-9 * (1.0 + float(np.abs(c).max(initial=0.0)))
 
@@ -187,14 +190,12 @@ def solve_sdp(
         gap = float(np.vdot(s, z).real)  # tr(S Z)
         residual = float(np.abs(c - adjoint(z)).max(initial=0.0))
         if gap <= gap_tol and residual <= dual_tol:
-            dual, nu = -float(np.vdot(cone.a0, z).real), None
-            if null is not None:  # back to the caller's x, where c.x = c.x0 + (N^T c).z
-                x, dual = x0 + null @ x, dual + float(c_x @ x0)
+            # back to the caller's x, where c.x = c.x0 + (N^T c).z
+            x, dual, nu = x0 + null @ x, float(c_x @ x0) - float(np.vdot(cone.a0, z).real), None
+            if a_eq is not None:
                 # c - A*(Z) lies in the row space of a_eq = U_r diag(sv_r) V_r^T up to
-                # the residual; A*(Z) is summed over the caller's cones, block by block
-                sizes = np.cumsum([0] + [block.a0.shape[0] for block in cones])
-                a_z = sum(np.einsum("kij,ji->k", block.basis, z[lo:hi, lo:hi]).real
-                          for block, lo, hi in zip(cones, sizes[:-1], sizes[1:]))
+                # the residual; A*(Z) is over the caller's cones
+                a_z = np.einsum("kij,ji->k", caller.basis, z).real
                 nu = u[:, :rank] @ ((vt[:rank] @ (c_x - a_z)) / sv[:rank])
             return SolveInfo(x, float(c_x @ x), dual, gap, iteration, nu, z)
         if iteration == _MAX_ITERATIONS:

@@ -30,35 +30,39 @@ class RankSolution:
         return len(self.lambdas)
 
 
-def _prep_mu(mu, d: int) -> np.ndarray:
+def _frame(mu, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d levels mu and z = mu - mu1, exact where the offset dominates (Sterbenz's lemma).
+
+    Every closed form works on z and tau = t - mu1, so an offset costs no digits.
+    """
     mu = np.asarray(mu, dtype=float)
     if len(mu) != d:
         raise OutOfRange(f"expected {d} eigenvalues, got {len(mu)}")
-    return mu
+    return mu, mu - mu[0]
 
 
 def _clamp_target(mu: np.ndarray, target: float) -> float:
-    """target clamped into [Tr(I)/d, mu1], to mu1 within _tol(mu); Infeasible beyond _tol(mu)."""
-    mean = float(mu.mean())
-    tol = _tol(mu)
-    if target > mu[0] + tol:
-        raise Infeasible(f"target {target} exceeds the top eigenvalue {mu[0]}")
-    if target < mean - tol:
-        raise Infeasible(
-            f"target {target} below Tr(I)/d = {mean}; use ascending=True for the other branch"
-        )
-    return float(mu[0]) if target >= mu[0] - tol else max(target, mean)
+    """tau = target - mu1: 0 within _tol(mu) of mu1, else as _check_interior admits it.
+
+    Tr(I)/d is mean(mu) as a caller computes it: under a large offset its rounding
+    exceeds _tol(mu).  A tau just below Tr(I)/d - mu1 is raised to it.
+    """
+    if abs(target - mu[0]) <= _tol(mu):
+        return 0.0
+    _check_interior(mu, target)
+    return max(target, float(mu.mean())) - float(mu[0])
 
 
 def _check_interior(mu: np.ndarray, target: float) -> None:
-    """Infeasible unless Tr(I)/d <= target < mu1, both up to _tol(mu)."""
-    if not mu.mean() - _tol(mu) <= target < mu[0] - _tol(mu):
-        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mu.mean()}, {mu[0]})")
+    """Infeasible unless Tr(I)/d = mean(mu) <= target < mu1, both up to _tol(mu)."""
+    mean, tol = float(mu.mean()), _tol(mu)
+    if not mean - tol <= target < mu[0] - tol:
+        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mean}, {mu[0]})")
 
 
-def _top_space(mu: np.ndarray) -> np.ndarray:
-    """Uniform weights on the levels within _tol(mu) of mu1: the least pure state at mu1."""
-    n_deg = int(np.sum(mu[0] - mu <= _tol(mu)))
+def _top_space(z: np.ndarray) -> np.ndarray:
+    """Uniform weights on the levels within _tol(z) of mu1: the least pure state at mu1."""
+    n_deg = int(np.sum(z >= -_tol(z)))
     return np.full(n_deg, 1.0 / n_deg)
 
 
@@ -69,26 +73,26 @@ def _greedy(lam1: float, r: int) -> np.ndarray:
     return lam
 
 
-def _lagrange(mu: np.ndarray, value_at) -> tuple[float, np.ndarray]:
+def _lagrange(z: np.ndarray, value_at) -> tuple[float, np.ndarray]:
     """Lagrange rank ansatz: the first rank r = d, d-1, ... with nonnegative weights.
 
-    Only ranks above the top eigenspace are scanned.  On the top r levels,
-    with a their mean and s = sum (mu_k - a)^2 > 0, the stationary weights at
-    Bell value t are lambda_k = 1/r + (t - a)(mu_k - a)/s, whose purity is
-    1/r + (t - a)^2/s.  value_at(r, a, s) gives t, or None to skip the rank.
-    Returns (t, weights).
+    Only ranks above the top eigenspace are scanned.  On the top r levels
+    z = mu - mu1, with a their mean and s = sum (z_k - a)^2 > 0, the
+    stationary weights at tau = t - mu1 are lambda_k = 1/r + (tau - a)(z_k - a)/s,
+    whose purity is 1/r + (tau - a)^2/s.  value_at(r, a, s) gives tau, or None
+    to skip the rank.  Returns (tau, weights).
     """
-    for r in range(len(mu), len(_top_space(mu)), -1):
-        a = float(mu[:r].mean())
-        centred = mu[:r] - a
+    for r in range(len(z), len(_top_space(z)), -1):
+        a = float(z[:r].mean())
+        centred = z[:r] - a
         s = float((centred**2).sum())
-        value = value_at(r, a, s)
-        if value is None:
+        tau = value_at(r, a, s)
+        if tau is None:
             continue
-        lam = 1.0 / r + (value - a) * centred / s
+        lam = 1.0 / r + (tau - a) * centred / s
         if lam.min() >= -_NEG_TOL:
             lam = np.clip(lam, 0.0, None)
-            return value, lam / lam.sum()
+            return tau, lam / lam.sum()
     raise Infeasible("no rank admits nonnegative Lagrange weights")
 
 
@@ -114,75 +118,61 @@ def max_value_given_probustness(mu, p_r: float, d: int) -> RankSolution:
     All but the last nonzero state eigenvalue equal lam1 = (1 + P_R)/d; the
     rank r is the unique integer with 1/(r-1) > lam1 >= 1/r.
     """
-    mu = _prep_mu(mu, d)
+    mu, z = _frame(mu, d)
     if not -1e-12 <= p_r <= d - 1 + 1e-12:
         raise OutOfRange(f"P_R must lie in [0, {d - 1}], got {p_r}")
-    lam1 = (1.0 + p_r) / d
-    lam1 = min(max(lam1, 1.0 / d), 1.0)
+    lam1 = min(max((1.0 + p_r) / d, 1.0 / d), 1.0)
     lam = _greedy(lam1, int(np.ceil(1.0 / lam1 - 1e-12)))
-    return RankSolution(lam, float(mu[: len(lam)] @ lam), p_r)
+    return RankSolution(lam, float(mu[0] + z[: len(lam)] @ lam), p_r)
 
 
 def min_lambda1_for_value(mu, target: float, d: int, *, ascending: bool = False) -> RankSolution:
     """Smallest lam1 (hence P_R = d*lam1 - 1) consistent with Tr(rho I) = target.
 
-    Scans ranks r = 1..d and solves the linear equation
-    target = lam1 * sum_{j<r} mu_j + (1 - (r-1) lam1) * mu_r, accepting the
-    rank whose solution satisfies 1/(r-1) > lam1 >= 1/r.  Set ascending=True
-    for targets below Tr(I)/d: that branch is the same program on the negated
-    spectrum, with the returned weights pairing to the reversed eigenvalues.
+    With z = mu - mu1 and tau = target - mu1, the rank r is the first whose
+    uniform top-r state has value mean(z[:r]) <= tau; lam1 in [1/r, 1/(r-1))
+    solves tau = lam1 sum_{j<r} z_j + (1 - (r-1) lam1) z_r.  ascending=True
+    takes targets below Tr(I)/d: the same program on the negated spectrum,
+    whose weights pair with the reversed eigenvalues.
     """
     if ascending:
         return _below_mean(min_lambda1_for_value, mu, target, d)
-    mu = _prep_mu(mu, d)
-    target = _clamp_target(mu, target)
-    top = _top_space(mu)
-    if target == mu[0]:
-        return RankSolution(top, target, d / len(top) - 1.0)
-    for r in range(len(top) + 1, d + 1):
-        lam1 = (target - mu[r - 1]) / float(mu[:r - 1].sum() - (r - 1) * mu[r - 1])
-        upper = 1.0 / (r - 1)
-        if 1.0 / r - 1e-12 <= lam1 < upper + 1e-12:
-            lam1 = min(max(lam1, 1.0 / r), 1.0)
-            return RankSolution(_greedy(lam1, r), target, d * lam1 - 1.0)
-    # numerically at the maximally mixed end
-    return RankSolution(np.full(d, 1.0 / d), target, 0.0)
+    mu, z = _frame(mu, d)
+    tau = _clamp_target(mu, target)
+    if tau == 0.0:
+        top = _top_space(z)
+        return RankSolution(top, float(mu[0]), d / len(top) - 1.0)
+    prefix = np.cumsum(z)
+    # prefix means fall with r from 0 to mean(z) <= tau; min() absorbs their rounding there
+    r = min(int(np.sum(prefix / np.arange(1, d + 1) > tau)) + 1, d)
+    lam1 = max((tau - z[r - 1]) / (prefix[r - 2] - (r - 1) * z[r - 1]), 1.0 / r)
+    return RankSolution(_greedy(lam1, r), target, d * lam1 - 1.0)
 
 
 def max_value_given_renyi2(mu, p2: float, d: int) -> RankSolution:
-    """Largest Bell value at fixed Renyi 2-purity (equivalently linear purity)."""
-    mu = _prep_mu(mu, d)
+    """Largest Bell value at fixed Renyi 2-purity (equivalently linear purity P).
+
+    For P >= 1/n, n the multiplicity of mu1, the state sits on the top space:
+    one weight 1/n + sqrt((P - 1/n)(n - 1)/n) and n - 1 equal ones.  Otherwise
+    the Lagrange weights of _lagrange reach tau = a + sqrt((P - 1/r) s).
+    """
+    mu, z = _frame(mu, d)
     if not -1e-12 <= p2 <= np.log2(d) + 1e-12:
         raise OutOfRange(f"P2 must lie in [0, log2 {d}], got {p2}")
     purity = min(max(2.0**p2 / d, 1.0 / d), 1.0)
-    n_deg = len(_top_space(mu))
-    if purity >= 1.0 / n_deg - 1e-12:
-        # enough purity to sit entirely on the top (possibly degenerate) space
-        r = max(1, int(np.floor(1.0 / purity + 1e-9)))
-        return RankSolution(_two_level(purity, min(r, n_deg)), float(mu[0]), p2)
+    n = len(_top_space(z))
+    if purity >= 1.0 / n - 1e-12:
+        top = min(1.0 / n + np.sqrt(max(0.0, (purity - 1.0 / n) * (n - 1) / n)), 1.0)
+        lam = np.append(top, np.full(n - 1, (1.0 - top) / max(n - 1, 1)))
+        return RankSolution(lam, float(mu[0]), p2)
 
     def value_at(r: int, a: float, s: float) -> float | None:
         if purity < 1.0 / r - 1e-12:
             return None
         return a + np.sqrt(max(0.0, (purity - 1.0 / r) * s))
 
-    value, lam = _lagrange(mu, value_at)
-    return RankSolution(lam, float(value), p2)
-
-
-def _two_level(purity: float, r: int) -> np.ndarray:
-    """Spectrum of r (or r+1) levels on a degenerate subspace with given purity."""
-    if abs(purity - 1.0 / r) <= 1e-12:
-        return np.full(r, 1.0 / r)
-    # r equal weights plus one smaller weight reproduce any purity in (1/(r+1), 1/r]
-    rr = r + 1 if purity < 1.0 / r else r
-    # (rr-1) copies of a and the remainder: k*a^2 + (1-k*a)^2 = purity, a >= 1/rr
-    k = rr - 1
-    qa = k * (k + 1)
-    qb = -2.0 * k
-    qc = 1.0 - purity
-    a = (-qb + np.sqrt(max(0.0, qb * qb - 4 * qa * qc))) / (2 * qa)
-    return np.sort(_greedy(a, rr))[::-1]
+    tau, lam = _lagrange(z, value_at)
+    return RankSolution(lam, float(mu[0] + tau), p2)
 
 
 def min_renyi2_for_value(mu, target: float, d: int, *, ascending: bool = False) -> RankSolution:
@@ -194,12 +184,12 @@ def min_renyi2_for_value(mu, target: float, d: int, *, ascending: bool = False) 
     """
     if ascending:
         return _below_mean(min_renyi2_for_value, mu, target, d)
-    mu = _prep_mu(mu, d)
-    target = _clamp_target(mu, target)
-    if target == mu[0]:
-        lam = _top_space(mu)
-        return RankSolution(lam, target, float(np.log2(d * lam[0])))
-    _, lam = _lagrange(mu, lambda r, a, s: target)
+    mu, z = _frame(mu, d)
+    tau = _clamp_target(mu, target)
+    if tau == 0.0:
+        lam = _top_space(z)
+        return RankSolution(lam, float(mu[0]), float(np.log2(d * lam[0])))
+    _, lam = _lagrange(z, lambda r, a, s: tau)
     return RankSolution(lam, target, float(np.log2(d * (lam**2).sum())))
 
 
@@ -208,28 +198,28 @@ def min_relent_purity_for_value(op, target: float) -> tuple[float, float, Densit
 
     The entropy maximizer under a linear constraint is the Gibbs state
     rho(beta) = e^{beta I} / Tr e^{beta I}, beta >= 0.  The search runs on
-    the normalised levels z = (mu - mu1)/(mu1 - mu_d) in [-1, 0] and target
-    tau alike, so it does not see the operator's scale or offset: b = beta
-    (mu1 - mu_d) is doubled until <z>_b >= tau, then bisected until the
-    bracket stops shrinking in floating point; beta = hi/(mu1 - mu_d).
+    z = (mu - mu1)/(mu1 - mu_d) in [-1, 0] and tau alike, blind to the
+    operator's scale and offset: b = beta (mu1 - mu_d) is 0 for tau <= mean(z),
+    else doubled from 1 until <z>_b >= tau and bisected until the bracket
+    stops shrinking in floating point; beta = hi/(mu1 - mu_d).
     """
     spec = eig_hermitian(op)
-    mu = spec.values
-    d = len(mu)
+    mu, z = _frame(spec.values, spec.dim)
+    d = spec.dim
     _check_interior(mu, target)
     spread = mu[0] - mu[-1]
-    z = (mu - mu[0]) / spread
-    tau = (target - mu[0]) / spread
+    z, tau = z / spread, (target - mu[0]) / spread
 
     def expectation(b: float) -> float:
         w = np.exp(b * z)  # z <= 0 with z1 = 0: no overflow
         return float((z * w).sum() / w.sum())
 
-    # the doubling ends: _check_interior gives tau < -1e-12, and <z>_b rises to 0 as b grows
-    hi = 1.0
-    while expectation(hi) < tau:
-        hi *= 2.0
-    lo = 0.0
+    lo = hi = 0.0
+    if z.mean() < tau:
+        # the doubling ends: _check_interior gives tau < -1e-12, and <z>_b rises to 0
+        hi = 1.0
+        while expectation(hi) < tau:
+            hi *= 2.0
     mid = 0.5 * hi
     while lo < mid < hi:
         if expectation(mid) < tau:

@@ -1,5 +1,5 @@
 """Independent brute-force verifiers: constrained state samplers, a
-derivative-free maximizer, and the Lagrange stationarity checker.
+Nelder-Mead minimal-purity search, and the Lagrange stationarity checker.
 
 Randomness comes from a counter-based Philox generator so every sample
 stream is reproducible from (seed, config) alone; the default seed can be
@@ -91,24 +91,6 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
         best = max(best, float(vals.max()))
         remaining -= n
     return best
-
-
-def nelder_mead_max(f, x0s, *, xatol: float = 1e-9, fatol: float = 1e-12, maxfev: int = 20000):
-    """Best-of-restarts Nelder-Mead maximization; deterministic given x0s."""
-    from scipy.optimize import minimize  # lazily: the CLI imports this module
-
-    best_x, best_v = None, -np.inf
-    for x0 in np.atleast_2d(np.asarray(x0s, dtype=float)):
-        res = minimize(
-            lambda x: -f(x),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
-        )
-        if -res.fun > best_v:
-            best_v = float(-res.fun)
-            best_x = res.x
-    return best_x, best_v
 
 
 def _exact_purity_on_support(mu: np.ndarray, target: float, idx) -> float | None:

@@ -49,10 +49,6 @@ class BdsState:
     lambdas: np.ndarray
     basis_perm: tuple[int, ...] = (0, 1, 2, 3)
 
-    @property
-    def entangled(self) -> bool:
-        return self.lambdas[0] > 0.5
-
     def matrix(self) -> np.ndarray:
         cols = _B[:, list(self.basis_perm)]
         return (cols * self.lambdas) @ cols.conj().T

@@ -34,16 +34,23 @@ def _random_mu(rng, d, min_gap=0.05):
             return mu
 
 
-def _exact_renyi2(mu, target) -> float:
-    """P2 of the Lagrange rank ansatz in exact rational arithmetic on the float inputs."""
+def _exact(mu, target) -> tuple[float, float]:
+    """Minimal lambda1 and minimal linear purity at target, in exact rational arithmetic.
+
+    Evaluated on the float inputs: lambda1 from the first rank whose uniform
+    top-r state reaches no higher than target, the purity from the Lagrange
+    rank ansatz (the first rank from d down with nonnegative weights).
+    """
     mu = [Fraction(float(m)) for m in mu]
     t = Fraction(float(target))
+    r = next(r for r in range(2, len(mu) + 1) if sum(mu[:r]) <= r * t)
+    lam1 = (t - mu[r - 1]) / (sum(mu[: r - 1]) - (r - 1) * mu[r - 1])
     for r in range(len(mu), 1, -1):
         a = sum(mu[:r]) / r
         s = sum((m - a) ** 2 for m in mu[:r])
         lam = [Fraction(1, r) + (t - a) * (m - a) / s for m in mu[:r]]
         if min(lam) >= 0:
-            return float(np.log2(len(mu) * float(sum(x * x for x in lam))))
+            return float(lam1), float(sum(x * x for x in lam))
     raise AssertionError("no rank admits nonnegative weights")
 
 
@@ -135,6 +142,21 @@ class TestMinLambda1ForValue:
         assert sol.value == mu[0]
         assert np.array_equal(sol.lambdas, [1.0])
 
+    def test_large_offset_matches_exact_arithmetic(self):
+        # mu_k - mu1 and t - mu1 are exact at this offset, so no digit is lost to it
+        mu = 1e9 + np.array([1.3, 0.4, -0.2, -1.5])
+        target = 1e9 + 0.78
+        lam1, purity = _exact(mu, target)
+        assert abs(min_lambda1_for_value(mu, target, 4).lambdas[0] - lam1) <= 1e-15
+        assert abs(float((min_renyi2_for_value(mu, target, 4).lambdas ** 2).sum()) - purity) <= 1e-15
+
+    @pytest.mark.parametrize("solve", [min_lambda1_for_value, min_renyi2_for_value])
+    def test_operator_proportional_to_identity(self, solve):
+        # the mean of (0.1, 0.1, 0.1) rounds to 0.10000000000000002, above the top level
+        sol = solve(np.array([0.1, 0.1, 0.1]), 0.1, 3)
+        assert sol.resource == 0.0
+        assert np.array_equal(sol.lambdas, np.full(3, 1.0 / 3.0))
+
     def test_below_mean_needs_flag(self):
         with pytest.raises(Infeasible):
             min_lambda1_for_value(MU4, 0.0, 4)
@@ -176,6 +198,26 @@ class TestMaxValueGivenRenyi2:
         mu = np.array([3.0, 3.0, 1.0, 0.0])
         sol = max_value_given_renyi2(mu, np.log2(4 * 0.5), 4)
         assert sol.value == pytest.approx(3.0, abs=1e-12)
+        assert np.allclose(sol.lambdas, [0.5, 0.5], atol=1e-12)
+        # a top space of three levels: one weight 1/3 + sqrt((P - 1/3) 2/3) and two equal ones
+        sol = max_value_given_renyi2(np.array([3.0, 3.0, 3.0, 0.0]), np.log2(4 * 0.5), 4)
+        assert sol.value == 3.0
+        assert np.allclose(sol.lambdas, [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0], atol=1e-12)
+        assert float((sol.lambdas**2).sum()) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "mu, purity",
+        [
+            ([0.2128778954780192, 0.2128778954778979], 0.6427382792370886),
+            ([0.2128778954780192, 0.2128778954778979], 1.0 - 1e-10),
+            ([0.685559408958821, 0.6855594089586524, 0.6159040940797724], 0.9167410218391161),
+        ],
+    )
+    def test_near_degenerate_top_keeps_the_purity(self, mu, purity):
+        # the top pair lies about 1e-13 apart, far below the levels' magnitude
+        d = len(mu)
+        sol = max_value_given_renyi2(np.array(mu), np.log2(d * purity), d)
+        assert float((sol.lambdas**2).sum()) == pytest.approx(2.0**sol.resource / d, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -211,7 +253,7 @@ class TestMinRenyi2ForValue:
         target = 1.0 - 1e-9
         sol = min_renyi2_for_value(mu, target, 4)
         assert sol.rank == 2
-        assert sol.resource == pytest.approx(_exact_renyi2(mu, target), abs=1e-9)
+        assert sol.resource == pytest.approx(np.log2(4 * _exact(mu, target)[1]), abs=1e-9)
         assert sol.resource == pytest.approx(1.9711480526610, abs=1e-9)
 
     def test_below_mean_branch(self):
@@ -249,6 +291,18 @@ class TestMinRelentPurity:
         s_p, beta, state = min_relent_purity_for_value(np.diag(MU4), MU4.mean() + 1e-9)
         assert beta <= 1e-6
         assert s_p == pytest.approx(0.0, abs=1e-8)
+
+    def test_target_at_the_mean_needs_no_search(self, monkeypatch):
+        calls, np_exp = [], np.exp
+
+        def exp(x):
+            calls.append(x)
+            return np_exp(x)
+
+        monkeypatch.setattr(np, "exp", exp)
+        s_p, beta, _ = min_relent_purity_for_value(np.diag(MU4), MU4.mean())
+        assert beta == 0.0 and s_p == 0.0
+        assert len(calls) <= 3
 
     def test_chsh_gibbs(self, chsh_op):
         s_p, beta, state = min_relent_purity_for_value(chsh_op, 2.2)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from bellres.bounds import (
     max_value_given_probustness,
@@ -14,7 +15,6 @@ from bellres.oracles import (
     SamplerConfig,
     default_rng,
     min_purity_nelder_mead,
-    nelder_mead_max,
     resolve_seed,
     sample_max_expectation,
     sample_spectra,
@@ -23,6 +23,22 @@ from bellres.oracles import (
 from bellres.twoqubit import chsh_max_value, c_max
 
 RT2 = np.sqrt(2.0)
+
+
+def nelder_mead_max(f, x0s):
+    """Best-of-restarts Nelder-Mead maximization of f; deterministic given x0s."""
+    best_x, best_v = None, -np.inf
+    for x0 in np.atleast_2d(np.asarray(x0s, dtype=float)):
+        res = minimize(
+            lambda x: -f(x),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 20000},
+        )
+        if -res.fun > best_v:
+            best_v = float(-res.fun)
+            best_x = res.x
+    return best_x, best_v
 
 
 class TestSeeding:

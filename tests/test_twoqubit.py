@@ -45,10 +45,6 @@ def random_bloch(rng):
 
 
 class TestBdsState:
-    def test_entangled_flag(self):
-        assert BdsState(np.array([0.6, 0.4, 0.0, 0.0])).entangled
-        assert not BdsState(np.array([0.5, 0.5, 0.0, 0.0])).entangled
-
     def test_matrix_spectrum(self):
         lam = np.array([0.4, 0.3, 0.2, 0.1])
         vals = eig_hermitian(_bds_matrix(lam, (2, 0, 3, 1))).values
