@@ -37,7 +37,6 @@ from .linalg import (
     tensor,
 )
 from .twoqubit import (
-    BdsState,
     ResourceReport,
     c_max,
     chsh_eigenvalues,

@@ -44,20 +44,24 @@ def _frame(mu, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _clamp_target(mu: np.ndarray, target: float) -> float:
     """tau = target - mu1: 0 within _tol(mu) of mu1, else as _check_interior admits it.
 
-    Tr(I)/d is mean(mu) as a caller computes it: under a large offset its rounding
-    exceeds _tol(mu).  A tau just below Tr(I)/d - mu1 is raised to it.
+    A tau just below Tr(I)/d - mu1 = mean(z) is raised to it.
     """
     if abs(target - mu[0]) <= _tol(mu):
         return 0.0
-    _check_interior(mu, target)
-    return max(target, float(mu.mean())) - float(mu[0])
+    return max(_check_interior(mu, target), float(np.mean(mu - mu[0])))
 
 
-def _check_interior(mu: np.ndarray, target: float) -> None:
-    """Infeasible unless Tr(I)/d = mean(mu) <= target < mu1, both up to _tol(mu)."""
-    mean, tol = float(mu.mean()), _tol(mu)
-    if not mean - tol <= target < mu[0] - tol:
-        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mean}, {mu[0]})")
+def _check_interior(mu: np.ndarray, target: float) -> float:
+    """tau = target - mu1, or Infeasible unless Tr(I)/d <= target < mu1, both up to _tol(mu).
+
+    Tr(I)/d - mu1 is the lower of mean(z) and a caller's mean(mu) - mu1: under
+    a large offset mean(mu) rounds either way by more than _tol(mu).
+    """
+    tau, tol = target - mu[0], _tol(mu)
+    floor = min(float(mu.mean()) - mu[0], float(np.mean(mu - mu[0])))
+    if not floor - tol <= tau < -tol:
+        raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mu.mean()}, {mu[0]})")
+    return float(tau)
 
 
 def _top_space(z: np.ndarray) -> np.ndarray:

@@ -51,9 +51,12 @@ def _curve_columns(curve: np.recarray) -> list[np.ndarray]:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, steps = spec.split(":")
-        return np.linspace(float(start), float(stop), int(steps))
-    except ValueError as exc:
-        raise ValueError(f"grid must be start:stop:steps, got {spec!r}") from exc
+        ends = np.array([float(start), float(stop)])
+        if np.isfinite(ends).all():
+            return np.linspace(*ends, int(steps))
+    except ValueError:
+        pass
+    raise ValueError(f"grid must be start:stop:steps with finite start and stop, got {spec!r}")
 
 
 def _parse_matrix(flat, dim: int, where: str) -> np.ndarray:
@@ -164,18 +167,12 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_min_resources(args) -> int:
-    op = bell.build_bell_operator(bell.chsh_scenario())
-    rows = []
-    for v in _parse_grid(args.v_grid):
-        if v <= 0:
-            continue
-        try:
-            rep = twoqubit.min_resources_for_value(op, 2.0, float(v))
-        except Infeasible:
-            rows.append((v, np.nan, np.nan, np.nan, np.nan, False))
-            continue
-        rows.append((v, rep.p_r, rep.c_r, rep.d_r, rep.e_r, True))
-    _emit_csv(["v", "P_R", "C_R", "D_R", "E_R", "feasible"], list(zip(*rows)))
+    v = _parse_grid(args.v_grid)
+    curve = twoqubit.min_er_vs_c_curve(v, 4.0)  # C_R = D_R = E_R for Bell-diagonal operators
+    _emit_csv(
+        ["v", "P_R", "C_R", "D_R", "E_R", "feasible"],
+        [v, curve.p_r, curve.e_r, curve.e_r, curve.e_r, curve.feasible],
+    )
     return 0
 
 

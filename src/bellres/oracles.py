@@ -32,7 +32,7 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    seed: int = DEFAULT_SEED
+    seed: int | None = None  # None: BRB_SEED, else DEFAULT_SEED
     count: int = 1000
     constraint: str = "none"  # "none" | "fixed-lambda1"
     value: float = 0.0

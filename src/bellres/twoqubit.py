@@ -43,18 +43,6 @@ _COHERENCE_BASIS_TABLE = {
 
 
 @dataclass(frozen=True)
-class BdsState:
-    """Bell-diagonal state: descending weights on a maximally entangled basis."""
-
-    lambdas: np.ndarray
-    basis_perm: tuple[int, ...] = (0, 1, 2, 3)
-
-    def matrix(self) -> np.ndarray:
-        cols = _B[:, list(self.basis_perm)]
-        return (cols * self.lambdas) @ cols.conj().T
-
-
-@dataclass(frozen=True)
 class ResourceReport:
     """Per-state robustness bundle with the witnessing states."""
 
@@ -94,7 +82,7 @@ def is_bell_diagonal(op) -> tuple[bool, Spectrum]:
     half = np.trace(m).real / 2.0 * np.eye(2)
     marginals = (np.einsum("ajbj->ab", t), np.einsum("iaib->ab", t))
     off = max(np.abs(tr - half).max() for tr in marginals)
-    return bool(off <= 1e-8 * (1.0 + np.abs(spec.values).max())), spec
+    return bool(off <= 1e-8 * np.abs(spec.values).max()), spec
 
 
 def _product_basis_label(v1: np.ndarray, v2: np.ndarray) -> str:
@@ -117,8 +105,7 @@ def min_resources_for_value(op, local_bound: float, v: float) -> ResourceReport:
     state of min_lambda1_for_value, of whatever rank it needs, and all four
     robustnesses are monotone functions of its lam1 alone.
     """
-    if v <= 0:
-        raise OutOfRange(f"violation must be positive, got {v}")
+    v = float(_violation(v))
     flag, spec = is_bell_diagonal(op)
     if not flag:
         raise NotBellDiagonal("operator is not diagonal in a maximally entangled basis")
@@ -139,12 +126,21 @@ def min_resources_for_value(op, local_bound: float, v: float) -> ResourceReport:
     )
 
 
-def _in_range(name: str, values, upper: float) -> np.ndarray:
-    """values as a float array, or OutOfRange unless every entry lies in [0, upper]."""
+def _in_range(name: str, values, upper: float, lower: float = 0.0) -> np.ndarray:
+    """values as a float array, or OutOfRange unless every entry lies in [lower, upper]."""
     arr = np.asarray(values, dtype=float)
-    outside = ~((0.0 <= arr) & (arr <= upper))
+    outside = ~((lower <= arr) & (arr <= upper))
     if outside.any():
-        raise OutOfRange(f"{name} must lie in [0, {upper:g}], got {arr[outside].flat[0]}")
+        raise OutOfRange(f"{name} must lie in [{lower:g}, {upper:g}], got {arr[outside].flat[0]}")
+    return arr
+
+
+def _violation(v) -> np.ndarray:
+    """v as a float array, or OutOfRange unless every entry is finite and above 0."""
+    arr = np.asarray(v, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if bad.any():
+        raise OutOfRange(f"violation must be finite and positive, got {arr[bad].flat[0]}")
     return arr
 
 
@@ -163,31 +159,28 @@ def chsh_eigenvalues(c) -> np.ndarray:
 
 def chsh_max_value(lambda1: float, c: float) -> float:
     """Maximal CHSH value sqrt(4+C)*lam1 + sqrt(4-C)*(1-lam1)."""
-    if not 0.5 <= lambda1 <= 1.0:
-        raise OutOfRange(f"lambda1 must lie in [1/2, 1], got {lambda1}")
+    lambda1 = float(_in_range("lambda1", lambda1, 1.0, 0.5))
     mu = chsh_eigenvalues(c)
     return float(mu[0] * lambda1 + mu[1] * (1.0 - lambda1))
 
 
 def c_max(lambda1: float) -> float:
     """Incompatibility maximizing the CHSH value at fixed lam1."""
-    if not 0.5 <= lambda1 <= 1.0:
-        raise OutOfRange(f"lambda1 must lie in [1/2, 1], got {lambda1}")
+    lambda1 = float(_in_range("lambda1", lambda1, 1.0, 0.5))
     return 4.0 * (2.0 * lambda1 - 1.0) / (2.0 * lambda1**2 - 2.0 * lambda1 + 1.0)
 
 
-def _rank2_curve(x, mu: np.ndarray, local: float, v: float) -> np.recarray:
+def _rank2_curve(x, mu: np.ndarray, local: float, v) -> np.recarray:
     """Minimal lam1, E_R = 2*lam1 - 1 and P_R = 4*lam1 - 1 at Bell value t = local + v.
 
-    mu holds descending Bell-diagonal spectra, shape (..., 4).  The optimal
+    mu holds descending Bell-diagonal spectra, shape (..., 4), and v is a
+    scalar or an array that broadcasts against mu[..., 0].  The optimal
     state mixes the top two eigenvectors with lam1 = (t - mu2)/(mu1 - mu2);
     points where t exceeds mu1 are infeasible and carry NaN.  Returns a
-    record array of x's broadcast shape with fields x, lambda1, e_r, p_r,
+    record array of the broadcast shape with fields x, lambda1, e_r, p_r,
     feasible.
     """
-    if v <= 0:
-        raise OutOfRange(f"violation must be positive, got {v}")
-    target = local + v
+    target = local + _violation(v)
     mu1, mu2 = mu[..., 0], mu[..., 1]
     feasible = target <= mu1 + _tol(mu)
     with np.errstate(divide="ignore", invalid="ignore"):  # mu1 = mu2 only where infeasible
@@ -198,8 +191,12 @@ def _rank2_curve(x, mu: np.ndarray, local: float, v: float) -> np.recarray:
     )
 
 
-def min_er_vs_c_curve(v: float, c_grid) -> np.recarray:
-    """Minimal entanglement robustness versus CHSH incompatibility at violation v."""
+def min_er_vs_c_curve(v, c_grid) -> np.recarray:
+    """Minimal entanglement robustness versus CHSH incompatibility at violation v.
+
+    v may be an array that broadcasts against c_grid: at C = 4 it gives the
+    resources along a violation sweep.
+    """
     c = np.asarray(c_grid, dtype=float)
     return _rank2_curve(c, chsh_eigenvalues(c), 2.0, v)
 

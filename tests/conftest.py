@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -41,6 +42,18 @@ def chsh_op():
 @pytest.fixture(scope="session")
 def i3322_scenario():
     return bell.i3322_fixture()
+
+
+@pytest.fixture(scope="session")
+def bds_matrix():
+    """Bell-diagonal state: weights lambdas on the Bell basis (Phi+, Phi-, Psi+, Psi-)[perm]."""
+
+    def matrix(lambdas, perm=(0, 1, 2, 3)):
+        cols = twoqubit._B[:, list(perm)]
+        m = (cols * np.asarray(lambdas, dtype=float)) @ cols.conj().T
+        return (m + m.conj().T) / 2
+
+    return matrix
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -190,16 +190,14 @@ def test_criterion_5_er_non_monotonicity():
     assert elapsed < 1.0
 
 
-def test_criterion_6_bds_solver_agreement():
+def test_criterion_6_bds_solver_agreement(bds_matrix):
     t0 = time.monotonic()
     rng = default_rng(0xBD5)
     worst = 0.0
     for _ in range(200):
         lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
         perm = tuple(int(i) for i in rng.permutation(4))
-        state = twoqubit.BdsState(lam, perm)
-        rho = state.matrix()
-        rho = (rho + rho.conj().T) / 2.0
+        rho = bds_matrix(lam, perm)
         e_r = twoqubit.er_ppt_solver(density_state(rho, (2, 2)))
         worst = max(worst, abs(e_r - max(0.0, 2.0 * lam[0] - 1.0)))
     elapsed = time.monotonic() - t0

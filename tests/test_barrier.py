@@ -82,7 +82,7 @@ def test_evaluate_is_the_affine_sum():
     np.testing.assert_allclose(cone.evaluate(x), want, atol=1e-12)
 
 
-def test_heavy_ppt_state_evaluation_count(monkeypatch):
+def test_heavy_ppt_state_evaluation_count(monkeypatch, bds_matrix):
     # one of the slow entangled states of the PPT program: a solver that repeats steps
     # which leave x unchanged runs to thousands of cone evaluations; this one takes about ten
     calls = []
@@ -93,7 +93,7 @@ def test_heavy_ppt_state_evaluation_count(monkeypatch):
         return evaluate(cone, x)
 
     monkeypatch.setattr(barrier.ConeConstraint, "evaluate", counted)
-    rho = twoqubit.BdsState(np.array([0.63, 0.23, 0.09, 0.05]), (2, 0, 3, 1)).matrix()
+    rho = bds_matrix([0.63, 0.23, 0.09, 0.05], (2, 0, 3, 1))
     assert twoqubit.er_ppt_solver(rho) == pytest.approx(0.26, abs=1e-7)
     assert len(calls) <= 2000
 

@@ -150,6 +150,24 @@ class TestMinLambda1ForValue:
         assert abs(min_lambda1_for_value(mu, target, 4).lambdas[0] - lam1) <= 1e-15
         assert abs(float((min_renyi2_for_value(mu, target, 4).lambdas ** 2).sum()) - purity) <= 1e-15
 
+    def test_mean_target_under_large_offset(self):
+        # mean(mu) rounds an ulp of 1e9 either way from the exact Tr(I)/d, far above
+        # _tol(mu): the exact mean rounded up and a caller's mean(mu) are both feasible
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            for d in range(3, 9):
+                mu = np.sort(1e9 + rng.normal(size=d))[::-1]
+                exact = sum(map(Fraction, mu)) / d
+                above = float(exact) if Fraction(float(exact)) >= exact else np.nextafter(
+                    float(exact), np.inf
+                )
+                for target in (above, float(mu.mean())):  # neither raises Infeasible
+                    min_lambda1_for_value(mu, target, d)
+                    min_renyi2_for_value(mu, target, d)
+                    min_relent_purity_for_value(np.diag(mu), target)
+                lam1, _ = _exact(mu, above)
+                assert abs(min_lambda1_for_value(mu, above, d).lambdas[0] - lam1) <= 1e-15
+
     @pytest.mark.parametrize("solve", [min_lambda1_for_value, min_renyi2_for_value])
     def test_operator_proportional_to_identity(self, solve):
         # the mean of (0.1, 0.1, 0.1) rounds to 0.10000000000000002, above the top level

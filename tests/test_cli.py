@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bellres import barrier, cli, twoqubit
-from bellres.errors import SolverFailure
+from bellres.errors import Infeasible, SolverFailure
 from bellres.linalg import _tol
 
 RT2 = np.sqrt(2.0)
@@ -253,6 +253,35 @@ class TestCurveCommands:
         assert code == 1
         assert "grid" in err
 
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:4:3", "nan:4:3"])
+    def test_non_finite_grid_end_exits_1(self, capsys, grid):
+        code, out, err = run(capsys, ["chsh-curve", "--v", "0.001", f"--c-grid={grid}"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:") and grid in err
+
+    # each table command with one bad v: v <= 0, NaN or inf
+    @pytest.mark.parametrize("v", ["0", "-0.1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh-curve", "--c-grid", "0:4:5"],
+            ["steering-curve", "--ca-grid", "0:2:5"],
+            ["heatmap", "--ca-grid", "0:2:3", "--cb-grid", "0:2:3"],
+            ["min-resources"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_violation_exits_1(self, capsys, argv, v):
+        if argv[0] == "min-resources":  # the sweep's first point is v
+            argv = [*argv, f"--v-grid={v}:0.5:3"]
+        else:
+            argv = [*argv, f"--v={v}"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+
 
 class TestGoldenOutputs:
     # sha256 of the README commands' stdout, recorded from the per-point loop
@@ -331,6 +360,27 @@ class TestMinResources:
             p_r, c_r, d_r, e_r = map(float, r[1:5])
             assert p_r >= c_r - 1e-9
             assert c_r == d_r == e_r
+
+
+    def test_rows_match_min_resources_for_value(self, capsys, monkeypatch, chsh_op):
+        # a seeded grid that runs past the Tsirelson violation 2 sqrt 2 - 2
+        rng = np.random.default_rng(0x3E5)
+        start, stop = rng.uniform(1e-3, 0.05), rng.uniform(0.9, 1.2)
+        tables = []
+        monkeypatch.setattr(cli, "_emit_csv", lambda header, cols: tables.append(cols))
+        assert run(capsys, ["min-resources", "--v-grid", f"{start!r}:{stop!r}:61"])[0] == 0
+        v, p_r, c_r, d_r, e_r, feasible = tables[0]
+        assert not feasible.all() and feasible.any()
+        for k, vk in enumerate(v):
+            try:
+                rep = twoqubit.min_resources_for_value(chsh_op, 2.0, float(vk))
+            except Infeasible:
+                assert not feasible[k] and np.isnan([p_r[k], c_r[k], d_r[k], e_r[k]]).all()
+                continue
+            assert feasible[k]
+            assert abs(p_r[k] - rep.p_r) <= 1e-12
+            for got in (c_r[k], d_r[k], e_r[k]):
+                assert abs(got - rep.e_r) <= 1e-12
 
 
 class TestRelentCompare:

@@ -53,6 +53,14 @@ class TestSeeding:
         monkeypatch.setenv("BRB_SEED", "7")
         assert resolve_seed(99) == 99
 
+    def test_default_config_reads_env(self, monkeypatch):
+        monkeypatch.setenv("BRB_SEED", "7")
+        draw = lambda **seed: sample_spectra(
+            SamplerConfig(count=3, constraint="fixed-lambda1", value=0.5, **seed), 4
+        )
+        assert np.array_equal(draw(), draw(seed=7))
+        assert not np.array_equal(draw(), draw(seed=DEFAULT_SEED))
+
     def test_identical_streams(self):
         cfg = SamplerConfig(seed=5, count=50, constraint="fixed-lambda1", value=0.5)
         a = sample_spectra(cfg, 4)

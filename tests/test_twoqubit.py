@@ -11,7 +11,6 @@ from bellres.linalg import PAULI_X, PAULI_Z, density_state, eig_hermitian, tenso
 from bellres.oracles import default_rng
 from bellres.twoqubit import (
     _B,
-    BdsState,
     c_max,
     chsh_eigenvalues,
     chsh_max_value,
@@ -33,21 +32,15 @@ RT2 = np.sqrt(2.0)
 TSIRELSON = 2 * RT2
 
 
-def _bds_matrix(lambdas, perm=(0, 1, 2, 3)):
-    state = BdsState(np.asarray(lambdas, dtype=float), tuple(perm))
-    m = state.matrix()
-    return (m + m.conj().T) / 2
-
-
 def random_bloch(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
 
 
 class TestBdsState:
-    def test_matrix_spectrum(self):
+    def test_matrix_spectrum(self, bds_matrix):
         lam = np.array([0.4, 0.3, 0.2, 0.1])
-        vals = eig_hermitian(_bds_matrix(lam, (2, 0, 3, 1))).values
+        vals = eig_hermitian(bds_matrix(lam, (2, 0, 3, 1))).values
         assert np.allclose(vals, lam, atol=1e-12)
 
 
@@ -88,6 +81,25 @@ class TestIsBellDiagonal:
         with pytest.raises(OutOfRange):
             is_bell_diagonal(np.eye(2))
 
+    @pytest.mark.parametrize("scale", [2.0**-30, 1.0, 2.0**30])
+    def test_verdict_is_scale_free(self, chsh_op, scale):
+        ops = {
+            "product": (tensor(PAULI_Z, np.eye(2)), False),
+            "chsh": (chsh_op, True),
+            "steering": (bell.steering_operator_f2(PAULI_Z, PAULI_X), True),
+            "identity": (np.eye(4), True),
+            "zero": (np.zeros((4, 4)), True),
+        }
+        for name, (op, verdict) in ops.items():
+            assert is_bell_diagonal(scale * op)[0] == verdict, name
+
+    def test_small_operator_is_not_bell_diagonal(self):
+        # Z (x) 1 + Z (x) Z / 2 has a marginal far from the identity at any scale
+        op = 1e-9 * (tensor(PAULI_Z, np.eye(2)) + 0.5 * tensor(PAULI_Z, PAULI_Z))
+        assert not is_bell_diagonal(op)[0]
+        with pytest.raises(NotBellDiagonal):
+            min_resources_for_value(op, 1e-9, 1e-10)
+
 
 class TestMinResourcesForValue:
     def test_tsirelson(self, chsh_op):
@@ -107,9 +119,9 @@ class TestMinResourcesForValue:
         # the void state is separable (PPT) with zero robustness
         assert er_ppt_solver(rep.void_state) <= 1e-7
 
-    def test_phi_plus_psi_plus_pair_is_x_product(self):
-        op = _bds_matrix([1.0, 0.0, 0.0, 0.0]) * 3 + _bds_matrix([0.0, 0.0, 1.0, 0.0]) * 2
-        op += -1.0 * _bds_matrix([0.0, 0.0, 0.0, 1.0])  # spectrum (3, 2, 0, -1)
+    def test_phi_plus_psi_plus_pair_is_x_product(self, bds_matrix):
+        op = bds_matrix([1.0, 0.0, 0.0, 0.0]) * 3 + bds_matrix([0.0, 0.0, 1.0, 0.0]) * 2
+        op += -1.0 * bds_matrix([0.0, 0.0, 0.0, 1.0])  # spectrum (3, 2, 0, -1)
         rep = min_resources_for_value(op, 2.0, 0.8)
         assert rep.coherence_basis == "x-product"
         # closest incoherent state in that basis reproduces E_R
@@ -117,10 +129,10 @@ class TestMinResourcesForValue:
         got = cr_fixed_basis(rep.witness_state, basis)
         assert abs(got - rep.e_r) <= 1e-6
 
-    def test_witness_of_rank_above_two(self):
+    def test_witness_of_rank_above_two(self, bds_matrix):
         # minimal-purity rank 4: a rank-2 witness would miss the Bell value
         mu = [1.0, 0.9, 0.8, -2.7]
-        op = sum(m * _bds_matrix(np.eye(4)[k]) for k, m in enumerate(mu))
+        op = sum(m * bds_matrix(np.eye(4)[k]) for k, m in enumerate(mu))
         rep = min_resources_for_value(op, 0.5, 0.1)
         assert np.trace(rep.witness_state.matrix @ op).real == pytest.approx(0.6, abs=1e-12)
         assert np.linalg.matrix_rank(rep.witness_state.matrix, tol=1e-9) == 4
@@ -134,8 +146,9 @@ class TestMinResourcesForValue:
             min_resources_for_value(chsh_op, 2.0, 1.0)
 
     def test_bad_violation(self, chsh_op):
-        with pytest.raises(OutOfRange):
-            min_resources_for_value(chsh_op, 2.0, -0.1)
+        for v in (-0.1, 0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(OutOfRange):
+                min_resources_for_value(chsh_op, 2.0, v)
 
 
 class TestChshFormulas:
@@ -225,6 +238,26 @@ class TestCurves:
         pts = min_er_vs_ca_curve(0.01, [0.0])
         assert not pts[0].feasible
 
+    def test_violation_array_matches_scalars(self):
+        v = np.array([0.001, 0.3, TSIRELSON - 2.0, 0.9])
+        c = np.array([0.5, 3.0, 4.0])
+        sweep = min_er_vs_c_curve(v[:, None], c)
+        assert sweep.shape == (4, 3)
+        for k, vk in enumerate(v):
+            row = min_er_vs_c_curve(vk, c)
+            for name in ("x", "lambda1", "e_r", "p_r", "feasible"):
+                np.testing.assert_array_equal(sweep[name][k], row[name])
+
+    @pytest.mark.parametrize("v", [-0.1, 0.0, np.nan, np.inf, -np.inf, [0.2, 0.0]])
+    def test_bad_violation(self, v):
+        for curve in (
+            lambda: min_er_vs_c_curve(v, [4.0]),
+            lambda: min_er_vs_ca_curve(v, [2.0]),
+            lambda: lambda1_heatmap(v, [2.0], [2.0]),
+        ):
+            with pytest.raises(OutOfRange, match="violation"):
+                curve()
+
 
 def _heatmap_loop(v, ca_grid, cb_grid):
     """Per-cell reference for lambda1_heatmap: lam1 at C = C_A C_B, NaN where infeasible."""
@@ -269,24 +302,24 @@ class TestHeatmap:
 
 
 class TestErSolvers:
-    def test_phi_plus(self):
-        rho = density_state(_bds_matrix([1.0, 0.0, 0.0, 0.0]), (2, 2))
+    def test_phi_plus(self, bds_matrix):
+        rho = density_state(bds_matrix([1.0, 0.0, 0.0, 0.0]), (2, 2))
         assert er_ppt_solver(rho) == pytest.approx(1.0, abs=1e-6)
 
     def test_separable(self):
         rho = density_state(np.eye(4) / 4, (2, 2))
         assert er_ppt_solver(rho) <= 1e-7
 
-    def test_bds_075(self):
-        rho = density_state(_bds_matrix([0.75, 0.25, 0.0, 0.0]), (2, 2))
+    def test_bds_075(self, bds_matrix):
+        rho = density_state(bds_matrix([0.75, 0.25, 0.0, 0.0]), (2, 2))
         assert er_ppt_solver(rho) == pytest.approx(0.5, abs=1e-6)
 
-    def test_random_bds_agreement(self):
+    def test_random_bds_agreement(self, bds_matrix):
         rng = default_rng(0xE2)
         for _ in range(30):
             lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
             perm = tuple(int(i) for i in rng.permutation(4))
-            rho = density_state(_bds_matrix(lam, perm), (2, 2))
+            rho = density_state(bds_matrix(lam, perm), (2, 2))
             assert er_ppt_solver(rho) == pytest.approx(max(0.0, 2 * lam[0] - 1), abs=1e-5)
 
     def test_joint_min_matches_closed_form(self, chsh_op):
@@ -323,9 +356,9 @@ class TestCrSolvers:
         with pytest.raises(ValueError):
             cr_fixed_basis(rho, np.ones((4, 4)))
 
-    def test_rank2_phi_mixture_computational_basis(self):
+    def test_rank2_phi_mixture_computational_basis(self, bds_matrix):
         lam = [0.8, 0.2, 0.0, 0.0]
-        rho = density_state(_bds_matrix(lam), (2, 2))
+        rho = density_state(bds_matrix(lam), (2, 2))
         value, basis = cr_min_over_product_bases(rho, restarts=8, seed=0xC0)
         assert value == pytest.approx(0.6, abs=1e-4)
         # computational basis itself already reaches 2*lam1 - 1
