@@ -98,24 +98,24 @@ def _strategies(povms: list[Povm]) -> np.ndarray:
 
 
 def local_bound(s: BellScenario) -> float:
-    """Exact LHV bound: max over deterministic response pairs."""
+    """Exact LHV bound: Alice's deterministic strategies against Bob's best response.
+
+    With Alice's outputs fixed, each of Bob's settings takes its best outcome
+    on its own, so only Alice's strategies are enumerated.
+    """
     fa = _strategies(s.alice)
-    fb = _strategies(s.bob)
-    ka, kb = fa.shape[1], fb.shape[1]
+    ka, kb = len(s.alice), len(s.bob)
     max_a = max(len(p) for p in s.alice)
-    max_b = max(len(p) for p in s.bob)
+    outcomes_b = np.array([len(p) for p in s.bob])
+    max_b = outcomes_b.max()
     c = np.zeros((max_a, max_b, ka, kb))
     for (a, b, x, y), v in s.coefficients.items():
         c[a, b, x, y] += v
     # per Alice strategy, accumulate coefficients over x into a (b, y) table
     xs = np.arange(ka)
     ta = c[fa[:, xs], :, xs, :].sum(axis=1)  # (nA, max_b, kb)
-    ys = np.arange(kb)
-    best = -np.inf
-    for block in np.array_split(fb, max(1, len(fb) // 512)):
-        vals = ta[:, block[:, ys], ys].sum(axis=-1)  # (nA, nB_block)
-        best = max(best, vals.max())
-    return float(best)
+    ta[:, np.arange(max_b)[:, None] >= outcomes_b] = -np.inf  # outcomes a setting lacks
+    return float(ta.max(axis=1).sum(axis=1).max())
 
 
 def incompatibility(a1, a2, b1, b2) -> tuple[float, float, float, float]:
@@ -201,15 +201,13 @@ def scenario_from_dichotomic_povms(
     return BellScenario(alice=alice, bob=bob, coefficients=coeffs, psd_tol=psd_tol)
 
 
-def chsh_scenario(angle: float | None = None) -> BellScenario:
-    """CHSH with the maximally incompatible (C = 4) settings by default.
+def chsh_scenario() -> BellScenario:
+    """CHSH with the maximally incompatible (C = 4) settings.
 
-    A1 = sigma_z, A2 = sigma_x, B1/B2 = (sigma_z +/- sigma_x)/sqrt(2); an
-    optional Alice angle replaces A2 by cos(t) sigma_z + sin(t) sigma_x.
+    A1 = sigma_z, A2 = sigma_x, B1/B2 = (sigma_z +/- sigma_x)/sqrt(2).
     """
     sq = 1.0 / np.sqrt(2.0)
-    a2 = PAULI_X if angle is None else np.cos(angle) * PAULI_Z + np.sin(angle) * PAULI_X
-    obs_a = [PAULI_Z, a2]
+    obs_a = [PAULI_Z, PAULI_X]
     obs_b = [sq * (PAULI_Z + PAULI_X), sq * (PAULI_Z - PAULI_X)]
     return scenario_from_observables(obs_a, obs_b, [[1, 1], [1, -1]])
 

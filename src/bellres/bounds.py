@@ -106,16 +106,6 @@ def _assemble(vectors: np.ndarray, weights: np.ndarray, dims) -> DensityState:
     return density_state((rho + rho.conj().T) / 2, dims)
 
 
-def _below_mean(solve, mu, target: float, d: int) -> RankSolution:
-    """The branch below Tr(I)/d: the same program on the negated spectrum.
-
-    Tr(rho I) = target is Tr(rho (-I)) = -target, and -I has the descending
-    spectrum -mu[::-1]; the returned weights pair with mu in ascending order.
-    """
-    sol = solve(-np.asarray(mu, dtype=float)[::-1], -target, d)
-    return RankSolution(sol.lambdas, target, sol.resource)
-
-
 def max_value_given_probustness(mu, p_r: float, d: int) -> RankSolution:
     """Largest Bell value reachable at fixed purity robustness P_R = d*lam1 - 1.
 
@@ -130,17 +120,14 @@ def max_value_given_probustness(mu, p_r: float, d: int) -> RankSolution:
     return RankSolution(lam, float(mu[0] + z[: len(lam)] @ lam), p_r)
 
 
-def min_lambda1_for_value(mu, target: float, d: int, *, ascending: bool = False) -> RankSolution:
+def min_lambda1_for_value(mu, target: float, d: int) -> RankSolution:
     """Smallest lam1 (hence P_R = d*lam1 - 1) consistent with Tr(rho I) = target.
 
     With z = mu - mu1 and tau = target - mu1, the rank r is the first whose
     uniform top-r state has value mean(z[:r]) <= tau; lam1 in [1/r, 1/(r-1))
-    solves tau = lam1 sum_{j<r} z_j + (1 - (r-1) lam1) z_r.  ascending=True
-    takes targets below Tr(I)/d: the same program on the negated spectrum,
-    whose weights pair with the reversed eigenvalues.
+    solves tau = lam1 sum_{j<r} z_j + (1 - (r-1) lam1) z_r.  A target below
+    Tr(I)/d is the program on -I, whose descending spectrum is -mu[::-1].
     """
-    if ascending:
-        return _below_mean(min_lambda1_for_value, mu, target, d)
     mu, z = _frame(mu, d)
     tau = _clamp_target(mu, target)
     if tau == 0.0:
@@ -179,15 +166,12 @@ def max_value_given_renyi2(mu, p2: float, d: int) -> RankSolution:
     return RankSolution(lam, float(mu[0] + tau), p2)
 
 
-def min_renyi2_for_value(mu, target: float, d: int, *, ascending: bool = False) -> RankSolution:
+def min_renyi2_for_value(mu, target: float, d: int) -> RankSolution:
     """Smallest Renyi 2-purity consistent with Tr(rho I) = target.
 
     Rank ansatz from full rank downward; the returned eigenvalues satisfy the
     stationarity lambda_k = (beta mu_k + alpha)/2 of the Lagrange conditions.
-    Set ascending=True for targets below Tr(I)/d, as in min_lambda1_for_value.
     """
-    if ascending:
-        return _below_mean(min_renyi2_for_value, mu, target, d)
     mu, z = _frame(mu, d)
     tau = _clamp_target(mu, target)
     if tau == 0.0:

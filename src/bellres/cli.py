@@ -238,8 +238,15 @@ def cmd_i3322_check(args) -> int:
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error, so it exits 1 like any input error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellres",
         description="Minimal state resources required for a given Bell violation",
     )
@@ -297,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -174,17 +174,21 @@ def _rank2_curve(x, mu: np.ndarray, local: float, v) -> np.recarray:
     """Minimal lam1, E_R = 2*lam1 - 1 and P_R = 4*lam1 - 1 at Bell value t = local + v.
 
     mu holds descending Bell-diagonal spectra, shape (..., 4), and v is a
-    scalar or an array that broadcasts against mu[..., 0].  The optimal
-    state mixes the top two eigenvectors with lam1 = (t - mu2)/(mu1 - mu2);
-    points where t exceeds mu1 are infeasible and carry NaN.  Returns a
-    record array of the broadcast shape with fields x, lambda1, e_r, p_r,
-    feasible.
+    scalar or an array that broadcasts against mu[..., 0].  lam1 is
+    min_lambda1_for_value's rank-2 step in its frame, tau = t - mu1 and
+    z2 = mu2 - mu1: 1/n within _tol of an n-fold mu1, else
+    max((tau - z2)/(-z2), 1/2).  Every caller's spectrum is +-sqrt(c +- C),
+    so mu3 = -mu2 < 0 < mu1 leaves n = 1 or 2, and its local bound is at
+    least (mu1 + mu2)/2, so rank 2 suffices; points with t above mu1 are
+    infeasible and carry NaN.  Returns a record array of the broadcast shape
+    with fields x, lambda1, e_r, p_r, feasible.
     """
     target = local + _violation(v)
-    mu1, mu2 = mu[..., 0], mu[..., 1]
-    feasible = target <= mu1 + _tol(mu)
-    with np.errstate(divide="ignore", invalid="ignore"):  # mu1 = mu2 only where infeasible
-        lam1 = np.where(feasible, np.minimum(1.0, (target - mu2) / (mu1 - mu2)), np.nan)
+    tau, z2, tol = target - mu[..., 0], mu[..., 1] - mu[..., 0], _tol(mu)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z2 = 0 only where tau >= 0
+        step = np.maximum((tau - z2) / -z2, 0.5)
+    feasible = tau <= tol
+    lam1 = np.where(tau < -tol, step, np.where(feasible, 1.0 / (1.0 + (z2 >= -tol)), np.nan))
     return np.rec.fromarrays(
         np.broadcast_arrays(x, lam1, 2.0 * lam1 - 1.0, 4.0 * lam1 - 1.0, feasible),
         names="x,lambda1,e_r,p_r,feasible",

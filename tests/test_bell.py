@@ -178,6 +178,13 @@ class TestLocalBound:
         with pytest.raises(TooLargeToEnumerate):
             local_bound(s)
 
+    def test_bob_best_response_needs_no_cap(self):
+        # 13 Bob settings (2^13 > 4096 strategies) and Alice's marginal on Bob's
+        # one-outcome dummy setting: the bound is sum |g| + |marginal|
+        g = [[(-1.0) ** y * (y + 1) for y in range(13)]]
+        s = scenario_from_observables([PAULI_Z], [PAULI_Z] * 13, g, marg_a=[-5.0])
+        assert local_bound(s) == 91.0 + 5.0
+
 
 class TestIncompatibility:
     def test_pauli_pairs(self):

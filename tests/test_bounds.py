@@ -178,8 +178,6 @@ class TestMinLambda1ForValue:
     def test_below_mean_needs_flag(self):
         with pytest.raises(Infeasible):
             min_lambda1_for_value(MU4, 0.0, 4)
-        sol = min_lambda1_for_value(MU4, 0.0, 4, ascending=True)
-        assert sol.lambdas @ MU4[::-1][: sol.rank] == pytest.approx(0.0, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
@@ -275,11 +273,12 @@ class TestMinRenyi2ForValue:
         assert sol.resource == pytest.approx(1.9711480526610, abs=1e-9)
 
     def test_below_mean_branch(self):
-        mu = np.array([3.0, 1.0, 0.0, -2.0])  # mean 0.5
-        sol = min_renyi2_for_value(mu, 0.0, 4, ascending=True)
-        brute = min_purity_nelder_mead(mu, 0.0, seed=0xA5C)
+        mu, target = np.array([3.0, 1.0, 0.0, -2.0]), 0.0  # mean 0.5
+        # below the mean: the program on -I, whose descending spectrum is -mu[::-1]
+        sol = min_renyi2_for_value(-mu[::-1], -target, 4)
+        brute = min_purity_nelder_mead(mu, target, seed=0xA5C)
         assert sol.resource == pytest.approx(np.log2(4 * brute), abs=1e-6)
-        assert sol.lambdas @ mu[::-1][: sol.rank] == pytest.approx(0.0, abs=1e-12)
+        assert sol.lambdas @ mu[::-1][: sol.rank] == pytest.approx(target, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
@@ -480,19 +479,6 @@ class TestScaleRules:
             assert lam.min() >= 0.0
             assert lam.sum() == pytest.approx(1.0, abs=1e-12)
             assert mu[: len(lam)] @ lam == pytest.approx(
-                target, abs=1e-10 * (mu[0] - mu[-1]), rel=1e-14
-            )
-
-    @given(_SPECTRA, _FRACS)
-    def test_ascending_is_the_negated_program(self, mu, frac):
-        d, negated = len(mu), -mu[::-1]
-        target = -_target(negated, frac)
-        for solve in (min_lambda1_for_value, min_renyi2_for_value):
-            sol = solve(mu, target, d, ascending=True)
-            ref = solve(negated, -target, d)
-            assert sol.value == target and sol.resource == ref.resource
-            assert np.array_equal(sol.lambdas, ref.lambdas)
-            assert mu[::-1][: sol.rank] @ sol.lambdas == pytest.approx(
                 target, abs=1e-10 * (mu[0] - mu[-1]), rel=1e-14
             )
 

@@ -282,6 +282,47 @@ class TestCurveCommands:
         assert out == ""
         assert err.startswith("input error:")
 
+    # a two-fold top level mu1 = mu2 with t within _tol of it: lam1 = 1/2, E_R = 0, P_R = 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh-curve", "--c-grid", "0:4:3"],
+            ["steering-curve", "--ca-grid", "0:2:3"],
+            ["heatmap", "--ca-grid", "0:2:3", "--cb-grid", "0:2:3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_two_fold_top_level(self, capsys, argv):
+        code, out, _ = run(capsys, [*argv, "--v", "1e-13"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        top = [r for r in rows if "0" in r[:-4]]  # C = 0, C_A = 0 or C_B = 0
+        assert top and all(r[-4:] == ["0.5", "0", "1", "true"] for r in top)
+
+    # argparse's own usage errors exit 1 like every other input error, not 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh-curve", "--v", "-inf"],
+            ["chsh-curve", "--v", "0.001", "--c-grid", "-inf:4:3"],
+            ["min-resources", "--v-grid", "-0.5:0.5:3"],
+            ["chsh-curve"],
+            ["chsh-curve", "--v", "0.001", "--no-such-flag"],
+            [],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chsh-curve", "--help"])
+        assert exc.value.code == 0
+        assert "--c-grid" in capsys.readouterr().out
+
 
 class TestGoldenOutputs:
     # sha256 of the README commands' stdout, recorded from the per-point loop

@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellres import bell, twoqubit
+from bellres.bounds import min_lambda1_for_value
 from bellres.errors import Infeasible, NotBellDiagonal, OutOfRange, SolverFailure
 from bellres.linalg import PAULI_X, PAULI_Z, density_state, eig_hermitian, tensor
 from bellres.oracles import default_rng
@@ -259,26 +262,45 @@ class TestCurves:
                 curve()
 
 
-def _heatmap_loop(v, ca_grid, cb_grid):
-    """Per-cell reference for lambda1_heatmap: lam1 at C = C_A C_B, NaN where infeasible."""
-    target = 2.0 + v
-    lam1 = np.full((len(ca_grid), len(cb_grid)), np.nan)
-    for i, c_a in enumerate(ca_grid):
-        for j, c_b in enumerate(cb_grid):
-            c = c_a * c_b
-            hi, lo = np.sqrt(4.0 + c), np.sqrt(4.0 - c)
-            if target <= hi + 1e-12:
-                lam1[i, j] = min(1.0, (target - lo) / (hi - lo))
+def _lambda1_loop(mu, target):
+    """The tables' reference: min_lambda1_for_value's lam1 per spectrum, NaN where infeasible."""
+    lam1 = np.full(mu.shape[:-1], np.nan)
+    for idx in np.ndindex(lam1.shape):
+        try:
+            lam1[idx] = min_lambda1_for_value(mu[idx], target, 4).lambdas[0]
+        except Infeasible:
+            pass
     return lam1
 
 
+class TestTablesRunMinLambda1:
+    # v runs over [1e-14, 1]; C = 0 and C_A = 0 (a two-fold top level) are always on
+    # the grids, and so is the feasibility edge t = mu1
+    @given(st.floats(-14.0, 0.0), st.lists(st.floats(0.0, 1.0), max_size=6))
+    @example(-14.0, [])
+    @settings(max_examples=60, deadline=None)
+    def test_lambda1_is_min_lambda1_for_value(self, log_v, fracs):
+        v = 10.0**log_v
+        c = np.array([0.0, 4.0, min(4.0 * v + v * v, 4.0), *(4.0 * np.array(fracs))])
+        c_a = np.array([0.0, 2.0, min(2.0 * RT2 * v + v * v, 2.0), *(2.0 * np.array(fracs))])
+        for table, mu, local in (
+            (min_er_vs_c_curve(v, c), chsh_eigenvalues(c), 2.0),
+            (min_er_vs_ca_curve(v, c_a), steering_eigenvalues(c_a), RT2),
+            (lambda1_heatmap(v, c_a, c / 2.0),
+             chsh_eigenvalues(np.multiply.outer(c_a, c / 2.0)), 2.0),
+        ):
+            lam1 = _lambda1_loop(mu, local + v)
+            np.testing.assert_array_equal(table.lambda1, lam1)
+            np.testing.assert_array_equal(table.feasible, ~np.isnan(lam1))
+
+
 class TestHeatmap:
-    # the last v puts the target 5e-13 above mu1 at C = 4: feasible by the slack, lam1 clamped
+    # the last v puts the target 5e-13 above mu1 at C = 4: within _tol of it, so lam1 = 1
     @pytest.mark.parametrize("v", [0.001, 0.3, TSIRELSON - 2.0 + 5e-13])
     def test_matches_per_cell_loop(self, v):
         ca, cb = np.linspace(0, 2, 81), np.linspace(0, 2, 41)
         grid = lambda1_heatmap(v, ca, cb)
-        lam1 = _heatmap_loop(v, ca, cb)
+        lam1 = _lambda1_loop(chsh_eigenvalues(np.multiply.outer(ca, cb)), 2.0 + v)
         assert grid.shape == (81, 41)
         np.testing.assert_array_equal(grid.x, np.broadcast_to(cb, grid.shape))
         np.testing.assert_array_equal(grid.lambda1, lam1)
