@@ -10,6 +10,7 @@ the other party whose only element is the identity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,31 +92,33 @@ def steering_operator_f2(a1, a2) -> np.ndarray:
 
 def _strategies(povms: list[Povm]) -> np.ndarray:
     counts = [len(s) for s in povms]
-    total = int(np.prod(counts))
+    total = math.prod(counts)
     if total > ENUMERATION_CAP:
         raise TooLargeToEnumerate(f"{total} deterministic strategies exceed cap {ENUMERATION_CAP}")
     return np.array(list(itertools.product(*[range(c) for c in counts])), dtype=int)
 
 
 def local_bound(s: BellScenario) -> float:
-    """Exact LHV bound: Alice's deterministic strategies against Bob's best response.
+    """Exact LHV bound: one party's deterministic strategies against the other's best response.
 
-    With Alice's outputs fixed, each of Bob's settings takes its best outcome
-    on its own, so only Alice's strategies are enumerated.
+    With one party's outputs fixed, each setting of the other takes its best
+    outcome on its own, so only the party with fewer strategies is
+    enumerated (Alice on a tie).
     """
-    fa = _strategies(s.alice)
-    ka, kb = len(s.alice), len(s.bob)
-    max_a = max(len(p) for p in s.alice)
-    outcomes_b = np.array([len(p) for p in s.bob])
-    max_b = outcomes_b.max()
-    c = np.zeros((max_a, max_b, ka, kb))
+    c = np.zeros((max(map(len, s.alice)), max(map(len, s.bob)), len(s.alice), len(s.bob)))
     for (a, b, x, y), v in s.coefficients.items():
         c[a, b, x, y] += v
-    # per Alice strategy, accumulate coefficients over x into a (b, y) table
-    xs = np.arange(ka)
-    ta = c[fa[:, xs], :, xs, :].sum(axis=1)  # (nA, max_b, kb)
-    ta[:, np.arange(max_b)[:, None] >= outcomes_b] = -np.inf  # outcomes a setting lacks
-    return float(ta.max(axis=1).sum(axis=1).max())
+    first, second = s.alice, s.bob
+    if math.prod(map(len, s.bob)) < math.prod(map(len, s.alice)):
+        first, second, c = s.bob, s.alice, c.transpose(1, 0, 3, 2)
+    strategies = _strategies(first)
+    outcomes = np.array([len(p) for p in second])
+    # per strategy, accumulate coefficients over the first party's settings
+    # into a table over the second's outcomes and settings
+    xs = np.arange(len(first))
+    table = c[strategies[:, xs], :, xs, :].sum(axis=1)  # (strategies, outcomes, settings)
+    table[:, np.arange(outcomes.max())[:, None] >= outcomes] = -np.inf  # outcomes a setting lacks
+    return float(table.max(axis=1).sum(axis=1).max())
 
 
 def incompatibility(a1, a2, b1, b2) -> tuple[float, float, float, float]:

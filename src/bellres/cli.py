@@ -15,7 +15,6 @@ import numpy as np
 from . import bell, bounds, twoqubit
 from .errors import BellresError, Infeasible, SolverFailure
 from .linalg import eig_hermitian
-from .oracles import resolve_seed
 
 I3322_REF_TARGET = 4.001
 I3322_REF_PR = 2.6756
@@ -103,16 +102,8 @@ def _builtin(name: str):
     raise ValueError(f"unknown builtin {name!r}")
 
 
-def _resolve_operator(args):
-    if args.builtin:
-        return _builtin(args.builtin)
-    if args.scenario:
-        return load_scenario(args.scenario)
-    raise ValueError("one of --scenario or --builtin is required")
-
-
 def cmd_bound(args) -> int:
-    op, local = _resolve_operator(args)
+    op, local = _builtin(args.builtin) if args.builtin else load_scenario(args.scenario)
     d = op.shape[0]
     spec = eig_hermitian(op)
     mu = spec.values
@@ -220,11 +211,7 @@ def cmd_i3322_check(args) -> int:
     ok = report["P_R_delta"] <= 5e-4 and report["E_R_delta"] <= 1e-3
     if not args.skip_cr:
         c_r, _ = twoqubit.cr_min_over_product_bases(
-            None,
-            restarts=args.restarts,
-            seed=resolve_seed(),
-            target_op=op,
-            target=target,
+            None, restarts=args.restarts, target_op=op, target=target
         )
         report.update(
             C_R=float(c_r),
@@ -252,14 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_operator_args(p):
-        p.add_argument("--scenario", help="scenario JSON file")
-        p.add_argument(
-            "--builtin", choices=["chsh-c4", "i3322", "steering-f2"], help="built-in fixture"
-        )
-
     p = sub.add_parser("bound", help="minimal resource for a Bell value")
-    add_operator_args(p)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--scenario", help="scenario JSON file")
+    group.add_argument(
+        "--builtin", choices=["chsh-c4", "i3322", "steering-f2"], help="built-in fixture"
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--value", type=float, help="violation v (target = L + v)")
     group.add_argument("--target", type=float, help="Bell expectation value target")
@@ -313,7 +298,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (BellresError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (BellresError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

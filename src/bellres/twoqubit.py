@@ -310,39 +310,41 @@ def product_basis_matrix(label_or_angles) -> np.ndarray:
     if isinstance(label_or_angles, str):
         u = _PRODUCT_EIGS[label_or_angles]
         return np.kron(u, u)
-    angles = np.asarray(label_or_angles, dtype=float)
-    return np.kron(_su2(*angles[:3]), _su2(*angles[3:]))
-
-
-def _su2_factors(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, ...]:
-    """Rz(alpha), Ry(beta), Rz(gamma), each exp(-i angle sigma / 2)."""
-    rz1 = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
-    ry = np.array(
-        [[np.cos(beta / 2), -np.sin(beta / 2)], [np.sin(beta / 2), np.cos(beta / 2)]]
-    )
-    rz2 = np.diag([np.exp(-0.5j * gamma), np.exp(0.5j * gamma)])
-    return rz1, ry, rz2
-
-
-def _su2(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    rz1, ry, rz2 = _su2_factors(alpha, beta, gamma)
-    return rz1 @ ry @ rz2
+    return _product_basis(np.asarray(label_or_angles, dtype=float))[0]
 
 
 _HALF_Z = np.diag([-0.5j, 0.5j])  # d/dt exp(-i t sigma_z / 2) = _HALF_Z exp(-i t sigma_z / 2)
 _HALF_Y = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)  # likewise for sigma_y
 
 
-def _angle_jacobian(angles: np.ndarray) -> np.ndarray:
-    """dU/dtheta_j of U = product_basis_matrix(angles), shape (6, 4, 4)."""
+def _product_basis(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U = a (x) b of six Euler angles and dU/dtheta_j, shape (6, 4, 4).
+
+    Each qubit's rotation is Rz(alpha) Ry(beta) Rz(gamma), every factor
+    exp(-i angle sigma / 2).
+    """
     sides = []
-    for rz1, ry, rz2 in (_su2_factors(*angles[:3]), _su2_factors(*angles[3:])):
+    for alpha, beta, gamma in angles.reshape(2, 3):
+        rz1 = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
+        ry = np.array(
+            [[np.cos(beta / 2), -np.sin(beta / 2)], [np.sin(beta / 2), np.cos(beta / 2)]]
+        )
+        rz2 = np.diag([np.exp(-0.5j * gamma), np.exp(0.5j * gamma)])
         u = rz1 @ ry @ rz2
         sides.append((u, np.array([_HALF_Z @ u, rz1 @ _HALF_Y @ ry @ rz2, u @ _HALF_Z])))
     (a, da), (b, db) = sides
     left = np.concatenate([da, np.broadcast_to(a, da.shape)])
     right = np.concatenate([np.broadcast_to(b, db.shape), db])
-    return np.einsum("kij,klm->kiljm", left, right).reshape(6, 4, 4)  # kron(left_k, right_k)
+    du = np.einsum("kij,klm->kiljm", left, right).reshape(6, 4, 4)  # kron(left_k, right_k)
+    return np.kron(a, b), du
+
+
+def _rotate(m: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
+    """U = basis and U^dag m U, or ValueError unless U has m's shape and orthonormal columns."""
+    u = np.asarray(basis, dtype=complex)
+    if u.shape != m.shape or np.abs(u.conj().T @ u - np.eye(len(m))).max() > 1e-10:
+        raise ValueError(f"basis must be {m.shape[0]}x{m.shape[1]} with orthonormal columns")
+    return u, u.conj().T @ m @ u
 
 
 @functools.cache
@@ -361,10 +363,7 @@ def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9, gradient: b
     """
     m = rho.matrix if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
     d = m.shape[0]
-    u = np.asarray(basis, dtype=complex)
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
-        raise ValueError("basis columns must be orthonormal")
-    rot = u.conj().T @ m @ u
+    u, rot = _rotate(m, basis)
     cones = [ConeConstraint(a0=-rot, basis=_diag_basis(d))]
     x0 = np.real(np.diag(rot)) + 1.0
     info = barrier.solve_sdp(np.ones(d), cones, x0, gap_tol=gap_tol)
@@ -383,9 +382,9 @@ def cr_min_for_value(
     optimal state in the basis.
     """
     op = np.asarray(op, dtype=complex)
-    u = np.asarray(basis, dtype=complex)
+    u, rot = _rotate(op, basis)
     info = _bell_value_program(
-        u.conj().T @ op @ u, target, [(-_H4, _diag_basis(4))], np.ones(4),
+        rot, target, [(-_H4, _diag_basis(4))], np.ones(4),
         lambda rho0: np.real(np.diag(rho0)) + 1.0, gap_tol,
     )
     value = max(0.0, info.value - 1.0)
@@ -427,29 +426,28 @@ def cr_min_over_product_bases(
         program = functools.partial(cr_fixed_basis, rho)
 
     def objective(angles, gap_tol):
+        u, du = _product_basis(angles)
         try:
-            value, g = program(product_basis_matrix(angles), gap_tol=gap_tol, gradient=True)
+            value, g = program(u, gap_tol=gap_tol, gradient=True)
         except SolverFailure:  # rejected: a start there stops, a line search steps back
             return np.inf, np.zeros(6)
-        return value, np.einsum("kij,ij->k", _angle_jacobian(angles), g.conj()).real
+        return value, np.einsum("kij,ij->k", du, g.conj()).real
 
     def bfgs(x0, gap_tol, **options):
         return minimize(objective, x0, args=(gap_tol,), method="BFGS", jac=True, options=options)
 
-    best_val = np.inf
-    best_angles = np.zeros(6)
-    # cheap wide exploration; accuracy comes from the polish pass below
-    for _ in range(restarts):
-        res = bfgs(rng.uniform(0.0, 2.0 * np.pi, size=6), 1e-6, gtol=1e-3, maxiter=30)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_angles = res.x
-    res = bfgs(best_angles, 1e-8, gtol=1e-6, maxiter=100)
-    if res.fun < best_val:
-        best_val = float(res.fun)
-        best_angles = res.x
-    if not np.isfinite(best_val):
+    def fun(res):
+        return res.fun
+
+    # cheap wide exploration; accuracy comes from the polish of the best run
+    runs = [
+        bfgs(rng.uniform(0.0, 2.0 * np.pi, size=6), 1e-6, gtol=1e-3, maxiter=30)
+        for _ in range(restarts)
+    ]
+    best = min(runs, key=fun)
+    best = min(best, bfgs(best.x, 1e-8, gtol=1e-6, maxiter=100), key=fun)
+    if not np.isfinite(best.fun):
         raise SolverFailure(
-            f"no product basis gave a finite C_R: best {best_val} in {restarts} restarts"
+            f"no product basis gave a finite C_R: best {best.fun} in {restarts} restarts"
         )
-    return best_val, product_basis_matrix(best_angles)
+    return float(best.fun), product_basis_matrix(best.x)

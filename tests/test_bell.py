@@ -173,10 +173,24 @@ class TestLocalBound:
 
     def test_enumeration_cap(self):
         povm = projective_qubit_povm(PAULI_Z)
-        many = [povm] * 13  # 2^13 > 4096 deterministic strategies
-        s = BellScenario(alice=many, bob=[povm], coefficients={(0, 0, 0, 0): 1.0})
+        many = [povm] * 13  # 2^13 > 4096 deterministic strategies on either side
+        s = BellScenario(alice=many, bob=many, coefficients={(0, 0, 0, 0): 1.0})
         with pytest.raises(TooLargeToEnumerate):
             local_bound(s)
+
+    def test_strategy_count_does_not_wrap(self):
+        povm = projective_qubit_povm(PAULI_Z)
+        many = [povm] * 64  # 2^64 strategies wrap to 0 in int64
+        s = BellScenario(alice=many, bob=many, coefficients={(0, 0, 0, 0): 1.0})
+        with pytest.raises(TooLargeToEnumerate, match="18446744073709551616"):
+            local_bound(s)
+
+    def test_bob_enumerated_when_he_has_fewer_strategies(self):
+        # 13 Alice settings (2^13 > 4096 strategies) and Bob's marginal on Alice's
+        # one-outcome dummy setting: the bound is sum |g| + |marginal|
+        g = [[(-1.0) ** x * (x + 1)] for x in range(13)]
+        s = scenario_from_observables([PAULI_Z] * 13, [PAULI_Z], g, marg_b=[-5.0])
+        assert local_bound(s) == 91.0 + 5.0
 
     def test_bob_best_response_needs_no_cap(self):
         # 13 Bob settings (2^13 > 4096 strategies) and Alice's marginal on Bob's

@@ -204,6 +204,13 @@ class TestScenarioFiles:
         code, _, _ = run(capsys, ["bound", "--value", "0.1"])
         assert code == 1
 
+    def test_both_operator_sources_exit_1(self, capsys, tmp_path):
+        path = _diagonal_scenario(tmp_path, [1.0, 0.0, 0.0, 0.0])
+        argv = ["bound", "--scenario", path, "--builtin", "chsh-c4", "--value", "0.1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and "not allowed with" in err
+
 
 class TestCurveCommands:
     def test_chsh_curve_values_and_determinism(self, capsys):

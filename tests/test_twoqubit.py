@@ -378,6 +378,17 @@ class TestCrSolvers:
         with pytest.raises(ValueError):
             cr_fixed_basis(rho, np.ones((4, 4)))
 
+    @pytest.mark.parametrize(
+        "basis", [2.0 * np.eye(4), np.ones((4, 4)), np.eye(2)], ids=["2I", "ones", "2x2"]
+    )
+    @pytest.mark.parametrize("program", ["fixed", "joint"])
+    def test_both_programs_check_the_basis(self, chsh_op, program, basis):
+        with pytest.raises(ValueError, match="orthonormal columns"):
+            if program == "fixed":
+                cr_fixed_basis(np.eye(4) / 4, basis)
+            else:
+                cr_min_for_value(chsh_op, 2.2, basis)
+
     def test_rank2_phi_mixture_computational_basis(self, bds_matrix):
         lam = [0.8, 0.2, 0.0, 0.0]
         rho = density_state(bds_matrix(lam), (2, 2))
@@ -478,7 +489,7 @@ def _check_angle_gradient(program, seed, h=1e-5):
     angles = default_rng(seed).uniform(0.0, 2.0 * np.pi, size=6)
     value, g_u = program(product_basis_matrix(angles), gradient=True)
     assert value == program(product_basis_matrix(angles))
-    grad = np.einsum("kij,ij->k", twoqubit._angle_jacobian(angles), g_u.conj()).real
+    grad = np.einsum("kij,ij->k", twoqubit._product_basis(angles)[1], g_u.conj()).real
 
     def moved(step):
         return program(product_basis_matrix(angles + step))
