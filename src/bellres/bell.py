@@ -21,6 +21,7 @@ from .linalg import (
     PAULI_Z,
     PAULIS,
     check_hermitian,
+    commutator_norm,
     tensor,
 )
 
@@ -41,6 +42,8 @@ class BellScenario:
     def __post_init__(self):
         for povms in (self.alice, self.bob):
             for setting in povms:
+                if not all(np.isfinite(m).all() for m in setting):
+                    raise ValueError("POVM elements must be finite")
                 total = sum(setting)
                 dim = total.shape[0]
                 if np.abs(total - np.eye(dim)).max() > 1e-10:
@@ -49,6 +52,12 @@ class BellScenario:
                     check_hermitian(m, rtol=1e-10)
                     if np.linalg.eigvalsh(m).min() < -self.psd_tol:
                         raise ValueError("POVM element is not positive semidefinite")
+        for (a, b, x, y), c in self.coefficients.items():
+            if not (0 <= x < len(self.alice) and 0 <= a < len(self.alice[x])
+                    and 0 <= y < len(self.bob) and 0 <= b < len(self.bob[y])):
+                raise ValueError(f"coefficient (a, b, x, y) = {(a, b, x, y)} names no outcome")
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient (a, b, x, y) = {(a, b, x, y)} is {c}, not finite")
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -123,8 +132,6 @@ def local_bound(s: BellScenario) -> float:
 
 def incompatibility(a1, a2, b1, b2) -> tuple[float, float, float, float]:
     """Commutator-norm incompatibilities (C_A, C_B, C = C_A C_B, C_A + C_B)."""
-    from .linalg import commutator_norm
-
     ca = commutator_norm(a1, a2)
     cb = commutator_norm(b1, b2)
     return ca, cb, ca * cb, ca + cb

@@ -52,11 +52,14 @@ def _clamp_target(mu: np.ndarray, target: float) -> float:
 
 
 def _check_interior(mu: np.ndarray, target: float) -> float:
-    """tau = target - mu1, or Infeasible unless Tr(I)/d <= target < mu1, both up to _tol(mu).
+    """tau = target - mu1: OutOfRange for a non-finite target, Infeasible unless
+    Tr(I)/d <= target < mu1, both ends up to _tol(mu).
 
     Tr(I)/d - mu1 is the lower of mean(z) and a caller's mean(mu) - mu1: under
     a large offset mean(mu) rounds either way by more than _tol(mu).
     """
+    if not np.isfinite(target):
+        raise OutOfRange(f"target must be finite, got {target}")
     tau, tol = target - mu[0], _tol(mu)
     floor = min(float(mu.mean()) - mu[0], float(np.mean(mu - mu[0])))
     if not floor - tol <= tau < -tol:

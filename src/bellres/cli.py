@@ -94,12 +94,11 @@ def load_scenario(path: str):
 
 
 def _builtin(name: str):
+    """(operator, local bound) of a built-in; --builtin's choices admit only these three."""
     if name == "steering-f2":
         return bell.steering_f2_scenario()
-    if name in ("chsh-c4", "i3322"):
-        s = bell.chsh_scenario() if name == "chsh-c4" else bell.i3322_fixture()
-        return bell.build_bell_operator(s), bell.local_bound(s)
-    raise ValueError(f"unknown builtin {name!r}")
+    s = bell.chsh_scenario() if name == "chsh-c4" else bell.i3322_fixture()
+    return bell.build_bell_operator(s), bell.local_bound(s)
 
 
 def cmd_bound(args) -> int:

@@ -108,7 +108,7 @@ def commutator_norm(x, y) -> float:
     comm = mx @ my - my @ mx
     # i[X, Y] is Hermitian, so the singular values are its |eigenvalues|
     vals = np.linalg.eigvalsh(1j * comm)
-    return float(np.abs(vals).max()) if len(vals) else 0.0
+    return float(np.abs(vals).max())
 
 
 @dataclass(frozen=True)

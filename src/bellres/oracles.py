@@ -118,9 +118,7 @@ def _exact_purity_on_support(mu: np.ndarray, target: float, idx) -> float | None
     return float((lam**2).sum())
 
 
-def min_purity_nelder_mead(
-    mu, target: float, *, restarts: int = 12, seed: int | None = None
-) -> float:
+def min_purity_nelder_mead(mu, target: float, *, seed: int | None = None) -> float:
     """Brute-force minimal linear purity at Tr(rho I) = target.
 
     Independent of the closed-form solver: parametrizes the affine slice
@@ -148,7 +146,7 @@ def min_purity_nelder_mead(
     rng = default_rng(seed)
     best_v = np.inf
     best_lam = x_part
-    for k in range(restarts):
+    for k in range(12):  # 12 starts, the first at the least-norm point x_part
         z0 = np.zeros(null.shape[1]) if k == 0 else rng.normal(scale=0.3, size=null.shape[1])
         for _ in range(2):  # restart the simplex at the found point once
             res = minimize(

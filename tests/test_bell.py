@@ -81,6 +81,37 @@ class TestBuildBellOperator:
             local_bound(scenario_from_observables(obs, obs, g, marg_a=marg_a))
 
 
+class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])], "sum to identity"),
+            ([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])], "positive semidefinite"),
+            ([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])], "finite"),
+        ],
+        ids=["sum", "psd", "nan"],
+    )
+    def test_povm_errors(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            BellScenario(alice=[setting], bob=[projective_qubit_povm(PAULI_Z)], coefficients={})
+
+    # (a, b, x, y) against one two-outcome setting per party
+    @pytest.mark.parametrize(
+        "key",
+        [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, 0, 0, -1)],
+    )
+    def test_coefficient_must_name_an_outcome(self, key):
+        povms = [projective_qubit_povm(PAULI_Z)]
+        with pytest.raises(ValueError, match=r"coefficient .* names no outcome"):
+            BellScenario(alice=povms, bob=povms, coefficients={key: 1.0})
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_coefficient_must_be_finite(self, c):
+        povms = [projective_qubit_povm(PAULI_Z)]
+        with pytest.raises(ValueError, match=r"coefficient .* not finite"):
+            BellScenario(alice=povms, bob=povms, coefficients={(0, 0, 0, 0): c})
+
+
 class TestBuildCorrelationOperator:
     """The correlation form: observables from Bloch vectors, weights g_xy on <A_x B_y>."""
 

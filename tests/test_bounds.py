@@ -510,6 +510,35 @@ class TestConstructOptimalState:
             construct_optimal_state(sol, spec)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        max_value_given_probustness,
+        min_lambda1_for_value,
+        max_value_given_renyi2,
+        min_renyi2_for_value,
+    ],
+)
+def test_spectrum_length_must_match_d(solve):
+    with pytest.raises(OutOfRange, match="expected 3 eigenvalues, got 4"):
+        solve(MU4, 0.5, 3)
+
+
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda mu, t: min_lambda1_for_value(mu, t, 4),
+        lambda mu, t: min_renyi2_for_value(mu, t, 4),
+        lambda mu, t: min_relent_purity_for_value(np.diag(mu), t),
+    ],
+    ids=["probustness", "renyi2", "relent"],
+)
+def test_non_finite_target_is_out_of_range(solve, target):
+    with pytest.raises(OutOfRange, match="target must be finite"):
+        solve(MU4, target)
+
+
 def test_i3322_probustness_value(i3322_scenario):
     op = bell.build_bell_operator(i3322_scenario)
     mu = eig_hermitian(op).values

@@ -95,6 +95,13 @@ class TestBound:
         assert doc["resource_value"] > 0.0
         assert doc["beta"] > 0.0
 
+    @pytest.mark.parametrize("measure", ["probustness", "renyi2", "relent"])
+    @pytest.mark.parametrize("flag", ["--target=nan", "--value=inf", "--target=-inf"])
+    def test_non_finite_target_exits_1(self, capsys, flag, measure):
+        code, out, err = run(capsys, ["bound", "--builtin", "chsh-c4", flag, "--measure", measure])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and "target must be finite" in err
+
     def test_infeasible_exits_2(self, capsys):
         code, out, _ = run(capsys, ["bound", "--builtin", "chsh-c4", "--target", "3.0"])
         assert code == 2
@@ -182,6 +189,33 @@ class TestScenarioFiles:
         assert code == 1
         assert out == ""
         assert err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["coefficients"][0].update(a=2), "(2, 0, 0, 0) names no outcome"),
+            (lambda doc: doc["coefficients"][0].update(x=1), "(0, 0, 1, 0) names no outcome"),
+            (lambda doc: doc["coefficients"][0].update(a=-1), "(-1, 0, 0, 0) names no outcome"),
+            (lambda doc: doc["coefficients"][0].update(c=float("nan")), "is nan, not finite"),
+            (
+                lambda doc: doc["measurements"]["alice"][0][0][0].__setitem__(0, float("nan")),
+                "POVM elements must be finite",
+            ),
+            (
+                lambda doc: doc["measurements"]["alice"][0].__setitem__(0, [[1.0, 0.0]] * 3),
+                "alice setting 0: expected 4 [re, im] pairs, got shape (3, 2)",
+            ),
+        ],
+        ids=["a-too-large", "x-too-large", "a-negative", "c-nan", "povm-nan", "povm-shape"],
+    )
+    def test_malformed_measurement_form_exits_1(self, capsys, tmp_path, edit, message):
+        path = Path(_diagonal_scenario(tmp_path, [1.0, 0.0, 0.0, -1.0]))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["bound", "--scenario", str(path), "--target", "0.5"])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and message in err
 
     def test_malformed_json_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -458,6 +492,14 @@ class TestI3322Check:
         assert doc["E_R_delta"] <= 1e-3
         assert "C_R" not in doc
 
+    def test_one_restart_reaches_the_reference_c_r(self, capsys):
+        code, out, _ = run(capsys, ["i3322-check", "--restarts", "1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert doc["C_R_within_tolerance"] is True and doc["hierarchy_ok"] is True
+        assert doc["E_R"] < doc["C_R"] < doc["P_R"]
+
     def test_cr_search_failure_exits_3(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise SolverFailure("no solve")
@@ -493,3 +535,18 @@ def test_import_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_import_of_bounds_loads_only_what_bounds_imports():
+    # the package namespace re-exports nothing, so no sibling module comes along
+    probe = (
+        "import sys, bellres.bounds; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'bellres'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = ["bellres", "bellres.bounds", "bellres.errors", "bellres.linalg"]
+    assert done.stdout.strip() == str(loaded)

@@ -244,6 +244,11 @@ class TestPartialTranspose:
         with pytest.raises(BadSubsystem):
             partial_transpose(np.eye(6) / 6, 0)  # 6 is not a perfect square
 
+    def test_three_subsystems(self):
+        state = DensityState(matrix=np.eye(8) / 8, dims=(2, 2, 2))
+        with pytest.raises(BadSubsystem, match="exactly two subsystems"):
+            partial_transpose(state, 0)
+
 
 class TestStateFunctionals:
     def test_maximally_mixed(self):
@@ -283,6 +288,11 @@ class TestValidation:
         check_hermitian(PAULI_Y)
         with pytest.raises(NotHermitian):
             check_hermitian([[0, 1e-3], [0, 0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_not_a_square_matrix(self, shape):
+        with pytest.raises(DimMismatch, match="expected a square matrix"):
+            check_hermitian(np.zeros(shape))
 
     def test_density_state_trace(self):
         with pytest.raises(ValueError):

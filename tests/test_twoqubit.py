@@ -132,6 +132,16 @@ class TestMinResourcesForValue:
         got = cr_fixed_basis(rep.witness_state, basis)
         assert abs(got - rep.e_r) <= 1e-6
 
+    def test_locally_rotated_chsh_is_lu_equivalent_product(self, chsh_op):
+        # a rotation of Alice's qubit about x keeps the spectrum but moves the
+        # top eigenvectors off the standard Bell pairs
+        u = tensor(np.cos(0.15) * np.eye(2) - 1j * np.sin(0.15) * PAULI_X, np.eye(2))
+        rep = min_resources_for_value(u @ chsh_op @ u.conj().T, 2.0, 0.2)
+        plain = min_resources_for_value(chsh_op, 2.0, 0.2)
+        assert rep.coherence_basis == "lu-equivalent-product"
+        assert rep.p_r == pytest.approx(plain.p_r, abs=1e-12)
+        assert rep.e_r == pytest.approx(plain.e_r, abs=1e-12)
+
     def test_witness_of_rank_above_two(self, bds_matrix):
         # minimal-purity rank 4: a rank-2 witness would miss the Bell value
         mu = [1.0, 0.9, 0.8, -2.7]
@@ -362,6 +372,15 @@ class TestErSolvers:
     def test_joint_min_infeasible(self, chsh_op, program, target):
         with pytest.raises(Infeasible):
             program(chsh_op, target)
+
+    @pytest.mark.parametrize(
+        "program",
+        [er_min_for_value, lambda op, target: cr_min_for_value(op, target, np.eye(4))],
+        ids=["er", "cr"],
+    )
+    def test_joint_min_non_finite_target(self, chsh_op, program):
+        with pytest.raises(OutOfRange, match="target must be finite"):
+            program(chsh_op, np.nan)
 
 
 class TestCrSolvers:
