@@ -58,37 +58,86 @@ def _parse_grid(spec: str) -> np.ndarray:
     raise ValueError(f"grid must be start:stop:steps with finite start and stop, got {spec!r}")
 
 
+def _array(value, what: str) -> np.ndarray:
+    """value as a float array, or ValueError unless it is nested lists of numbers in float range."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what}: expected numbers in float range") from None
+
+
 def _parse_matrix(flat, dim: int, where: str) -> np.ndarray:
-    arr = np.asarray(flat, dtype=float)
+    arr = _array(flat, where)
     if arr.shape != (dim * dim, 2):
         raise ValueError(f"{where}: expected {dim * dim} [re, im] pairs, got shape {arr.shape}")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(dim, dim)
 
 
+def _number(value, what: str, *, integer: bool = False):
+    """A JSON number, or ValueError: true, null and "1" are not numbers.
+
+    With integer=True it must also be integral: 1 and 1.0 give the int 1,
+    and 0.7 is refused rather than truncated.  Otherwise it comes back as a
+    float.
+    """
+    if integer and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{what} must be {kind}, got {json.dumps(value)}")
+    return value if integer else float(_array(value, what))
+
+
+def _lists(value, what: str) -> list:
+    """value, or ValueError unless it is a list of lists."""
+    if not (isinstance(value, list) and all(isinstance(v, list) for v in value)):
+        raise ValueError(f"{what} must be a list of lists")
+    return value
+
+
 def load_scenario(path: str):
-    """Parse a scenario JSON file; returns (operator, local_bound)."""
+    """Parse a scenario JSON file; returns (operator, local_bound).
+
+    The document's shape is checked before anything is converted: each form
+    is an object; dims must be two positive integers, coefficients a list of
+    objects, each index an integer, each c a number, each party's settings a
+    list of lists and every vector or matrix nested lists of numbers.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a scenario file must hold a JSON object")
     if ("measurements" in doc) == ("correlation" in doc):
         raise ValueError("exactly one of 'measurements' or 'correlation' must be present")
+    form = doc.get("correlation", doc.get("measurements"))
+    if not isinstance(form, dict):
+        raise ValueError("'measurements' or 'correlation' must be an object")
     if "correlation" in doc:
-        corr = doc["correlation"]
+        bloch_a, bloch_b = (_lists(form[k], k) for k in ("bloch_a", "bloch_b"))
         scenario = bell.scenario_from_observables(
-            [bell.observable_from_bloch(a) for a in corr["bloch_a"]],
-            [bell.observable_from_bloch(b) for b in corr["bloch_b"]],
-            corr["g"],
+            [bell.observable_from_bloch(_array(a, "bloch_a")) for a in bloch_a],
+            [bell.observable_from_bloch(_array(b, "bloch_b")) for b in bloch_b],
+            _array(form["g"], "g"),
         )
     else:
-        da, db = int(doc["dims"][0]), int(doc["dims"][1])
-        meas = doc["measurements"]
+        dims, entries = doc["dims"], doc["coefficients"]
+        if not (isinstance(dims, list) and len(dims) == 2):
+            raise ValueError(f"dims must be two positive integers, got {json.dumps(dims)}")
+        da, db = (_number(n, "dims entry", integer=True) for n in dims)
+        if min(da, db) < 1:
+            raise ValueError(f"dims must be two positive integers, got {json.dumps(dims)}")
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError("coefficients must be a list of objects")
+        keys = [tuple(_number(e[k], f"index {k}", integer=True) for k in "abxy") for e in entries]
+        values = [_number(e["c"], "coefficient c") for e in entries]
+        settings_a, settings_b = _lists(form["alice"], "alice"), _lists(form["bob"], "bob")
         alice = [[_parse_matrix(m, da, f"alice setting {x}") for m in setting]
-                 for x, setting in enumerate(meas["alice"])]
+                 for x, setting in enumerate(settings_a)]
         bob = [[_parse_matrix(m, db, f"bob setting {y}") for m in setting]
-               for y, setting in enumerate(meas["bob"])]
+               for y, setting in enumerate(settings_b)]
         coeffs = {}
-        for entry in doc["coefficients"]:
-            key = (int(entry["a"]), int(entry["b"]), int(entry["x"]), int(entry["y"]))
-            coeffs[key] = coeffs.get(key, 0.0) + float(entry["c"])
+        for key, c in zip(keys, values):
+            coeffs[key] = coeffs.get(key, 0.0) + c
         scenario = bell.BellScenario(alice=alice, bob=bob, coefficients=coeffs)
     return bell.build_bell_operator(scenario), bell.local_bound(scenario)
 

@@ -304,38 +304,46 @@ def product_basis_matrix(label_or_angles) -> np.ndarray:
     """4x4 unitary whose columns form a product basis.
 
     Accepts one of the named Pauli product bases or six Euler angles
-    (alpha, beta, gamma) per qubit defining local SU(2) rotations of the
-    computational basis.
+    (alpha, beta, gamma) per qubit: the rotations Rz(alpha) Ry(beta) Rz(gamma)
+    of the computational basis.  That is the four-angle basis of
+    _product_basis times kron(Rz(gamma_A), Rz(gamma_B)), a phase on each
+    column, which leaves the basis projectors |u_j><u_j| unchanged.
     """
     if isinstance(label_or_angles, str):
         u = _PRODUCT_EIGS[label_or_angles]
         return np.kron(u, u)
-    return _product_basis(np.asarray(label_or_angles, dtype=float))[0]
+    angles = np.asarray(label_or_angles, dtype=float)
+    if angles.shape != (6,):
+        raise ValueError(f"expected six Euler angles, got shape {angles.shape}")
+    half = 0.5j * np.array([-1.0, 1.0])
+    phases = np.kron(np.exp(half * angles[2]), np.exp(half * angles[5]))
+    return _product_basis(angles[[0, 1, 3, 4]])[0] * phases
 
 
 _HALF_Z = np.diag([-0.5j, 0.5j])  # d/dt exp(-i t sigma_z / 2) = _HALF_Z exp(-i t sigma_z / 2)
 _HALF_Y = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)  # likewise for sigma_y
 
 
-def _product_basis(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U = a (x) b of six Euler angles and dU/dtheta_j, shape (6, 4, 4).
+def _product_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U = a (x) b of x = (alpha_A, beta_A, alpha_B, beta_B) and dU/dx_j, shape (4, 4, 4).
 
-    Each qubit's rotation is Rz(alpha) Ry(beta) Rz(gamma), every factor
-    exp(-i angle sigma / 2).
+    Each qubit's rotation is Rz(alpha) Ry(beta), every factor
+    exp(-i angle sigma / 2).  A trailing Rz(gamma) would only put a phase on
+    each column, so it would not change the basis projectors: gamma is a
+    gauge, and leaving it out spares the search two flat directions.
     """
     sides = []
-    for alpha, beta, gamma in angles.reshape(2, 3):
-        rz1 = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
+    for alpha, beta in x.reshape(2, 2):
+        rz = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
         ry = np.array(
             [[np.cos(beta / 2), -np.sin(beta / 2)], [np.sin(beta / 2), np.cos(beta / 2)]]
         )
-        rz2 = np.diag([np.exp(-0.5j * gamma), np.exp(0.5j * gamma)])
-        u = rz1 @ ry @ rz2
-        sides.append((u, np.array([_HALF_Z @ u, rz1 @ _HALF_Y @ ry @ rz2, u @ _HALF_Z])))
+        u = rz @ ry
+        sides.append((u, np.array([_HALF_Z @ u, rz @ _HALF_Y @ ry])))
     (a, da), (b, db) = sides
     left = np.concatenate([da, np.broadcast_to(a, da.shape)])
     right = np.concatenate([np.broadcast_to(b, db.shape), db])
-    du = np.einsum("kij,klm->kiljm", left, right).reshape(6, 4, 4)  # kron(left_k, right_k)
+    du = np.einsum("kij,klm->kiljm", left, right).reshape(4, 4, 4)  # kron(left_k, right_k)
     return np.kron(a, b), du
 
 
@@ -401,12 +409,15 @@ def cr_min_over_product_bases(
 
     Give either rho, held fixed, or target_op with target, in which case the
     state is also optimized inside each basis (the joint program of the
-    three-setting experiment).  BFGS runs over the 3+3 local-rotation angles
-    from `restarts` random starts at gap 1e-6, then polishes the best at gap
-    1e-8.  The gradient comes from the solve itself (envelope theorem), chained
-    to the angles; it costs no extra solves.  Returns an upper bound to the
-    true minimum and the best basis found.  A basis whose solve fails counts
-    as rejected; SolverFailure is raised when every basis tried failed.
+    three-setting experiment).  BFGS runs over the four local-rotation angles
+    (alpha, beta) per qubit from `restarts` random starts at gap 1e-6, then
+    polishes the best at gap 1e-8.  A third Euler angle gamma per qubit would
+    only put a phase on each basis column, which leaves C_R unchanged, so it
+    is a gauge and is left out.  The gradient comes from the solve itself
+    (envelope theorem), chained to the angles; it costs no extra solves.
+    Returns an upper bound to the true minimum and the best basis found.  A
+    basis whose solve fails counts as rejected; SolverFailure is raised when
+    every basis tried failed.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -425,12 +436,12 @@ def cr_min_over_product_bases(
     else:
         program = functools.partial(cr_fixed_basis, rho)
 
-    def objective(angles, gap_tol):
-        u, du = _product_basis(angles)
+    def objective(x, gap_tol):
+        u, du = _product_basis(x)
         try:
             value, g = program(u, gap_tol=gap_tol, gradient=True)
         except SolverFailure:  # rejected: a start there stops, a line search steps back
-            return np.inf, np.zeros(6)
+            return np.inf, np.zeros(4)
         return value, np.einsum("kij,ij->k", du, g.conj()).real
 
     def bfgs(x0, gap_tol, **options):
@@ -439,9 +450,11 @@ def cr_min_over_product_bases(
     def fun(res):
         return res.fun
 
-    # cheap wide exploration; accuracy comes from the polish of the best run
+    # cheap wide exploration; accuracy comes from the polish of the best run.  Each
+    # start draws all six Euler angles, so a seed gives the same stream as ever,
+    # and keeps the four that are not a gauge
     runs = [
-        bfgs(rng.uniform(0.0, 2.0 * np.pi, size=6), 1e-6, gtol=1e-3, maxiter=30)
+        bfgs(rng.uniform(0.0, 2.0 * np.pi, size=6)[[0, 1, 3, 4]], 1e-6, gtol=1e-3, maxiter=30)
         for _ in range(restarts)
     ]
     best = min(runs, key=fun)
@@ -450,4 +463,4 @@ def cr_min_over_product_bases(
         raise SolverFailure(
             f"no product basis gave a finite C_R: best {best.fun} in {restarts} restarts"
         )
-    return float(best.fun), product_basis_matrix(best.x)
+    return float(best.fun), _product_basis(best.x)[0]

@@ -193,6 +193,27 @@ class TestScenarioFiles:
     @pytest.mark.parametrize(
         "edit, message",
         [
+            (lambda doc: doc.update(correlation=5), "'correlation' must be an object"),
+            (
+                lambda doc: doc["correlation"].update(bloch_a=None),
+                "bloch_a must be a list of lists",
+            ),
+            (lambda doc: doc["correlation"].update(g={}), "g: expected numbers in float range"),
+        ],
+        ids=["correlation-number", "bloch-null", "g-object"],
+    )
+    def test_malformed_correlation_form_exits_1(self, capsys, tmp_path, edit, message):
+        doc = {"correlation": {"g": [[1]], "bloch_a": [[0, 0, 1]], "bloch_b": [[0, 0, 1]]}}
+        edit(doc)
+        path = tmp_path / "corr.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["bound", "--scenario", str(path), "--value", "0.2"])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and message in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
             (lambda doc: doc["coefficients"][0].update(a=2), "(2, 0, 0, 0) names no outcome"),
             (lambda doc: doc["coefficients"][0].update(x=1), "(0, 0, 1, 0) names no outcome"),
             (lambda doc: doc["coefficients"][0].update(a=-1), "(-1, 0, 0, 0) names no outcome"),
@@ -205,8 +226,41 @@ class TestScenarioFiles:
                 lambda doc: doc["measurements"]["alice"][0].__setitem__(0, [[1.0, 0.0]] * 3),
                 "alice setting 0: expected 4 [re, im] pairs, got shape (3, 2)",
             ),
+            (
+                lambda doc: doc["coefficients"][0].update(a=0.7),
+                "index a must be an integer, got 0.7",
+            ),
+            (
+                lambda doc: doc["coefficients"][0].update(a=1.7),
+                "index a must be an integer, got 1.7",
+            ),
+            (
+                lambda doc: doc["coefficients"][0].update(a=True),
+                "index a must be an integer, got true",
+            ),
+            (
+                lambda doc: doc["coefficients"][0].update(a=None),
+                "index a must be an integer, got null",
+            ),
+            (lambda doc: doc["coefficients"][0].update(c=None), "coefficient c must be a number"),
+            (lambda doc: doc.update(dims=[2]), "dims must be two positive integers, got [2]"),
+            (lambda doc: doc.update(dims=None), "dims must be two positive integers, got null"),
+            (lambda doc: doc.update(dims=[2, 0]), "dims must be two positive integers"),
+            (lambda doc: doc.update(coefficients=5), "coefficients must be a list of objects"),
+            (lambda doc: doc["coefficients"][0].update(c=10**400), "c: expected numbers in float"),
+            (lambda doc: doc.update(measurements=5), "'correlation' must be an object"),
+            (lambda doc: doc["measurements"].update(alice=5), "alice must be a list of lists"),
+            (
+                lambda doc: doc["measurements"]["alice"][0].__setitem__(0, {"re": 1.0}),
+                "alice setting 0: expected numbers in float range",
+            ),
         ],
-        ids=["a-too-large", "x-too-large", "a-negative", "c-nan", "povm-nan", "povm-shape"],
+        ids=[
+            "a-too-large", "x-too-large", "a-negative", "c-nan", "povm-nan", "povm-shape",
+            "a-fraction", "a-above-one", "a-true", "a-null", "c-null", "dims-one", "dims-null",
+            "dims-zero", "coefficients-number", "c-beyond-float", "measurements-number",
+            "alice-number", "povm-object",
+        ],
     )
     def test_malformed_measurement_form_exits_1(self, capsys, tmp_path, edit, message):
         path = Path(_diagonal_scenario(tmp_path, [1.0, 0.0, 0.0, -1.0]))
@@ -216,6 +270,15 @@ class TestScenarioFiles:
         code, out, err = run(capsys, ["bound", "--scenario", str(path), "--target", "0.5"])
         assert (code, out) == (1, "")
         assert err.startswith("input error:") and message in err
+
+    def test_integral_float_index_is_an_index(self, capsys, tmp_path):
+        path = Path(_diagonal_scenario(tmp_path, [1.0, 0.0, 0.0, -1.0]))
+        doc = json.loads(path.read_text())
+        doc["coefficients"][3].update(a=1.0, b=1.0)
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["bound", "--scenario", str(path), "--target", "0.5"])
+        assert code == 0
+        assert json.loads(out)["spectrum"] == [1.0, 0.0, 0.0, -1.0]
 
     def test_malformed_json_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
