@@ -315,8 +315,7 @@ def product_basis_matrix(label_or_angles) -> np.ndarray:
     angles = np.asarray(label_or_angles, dtype=float)
     if angles.shape != (6,):
         raise ValueError(f"expected six Euler angles, got shape {angles.shape}")
-    half = 0.5j * np.array([-1.0, 1.0])
-    phases = np.kron(np.exp(half * angles[2]), np.exp(half * angles[5]))
+    phases = np.kron(*np.exp(np.outer(angles[[2, 5]], _HALF_Z.diagonal())))
     return _product_basis(angles[[0, 1, 3, 4]])[0] * phases
 
 
@@ -334,7 +333,7 @@ def _product_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     sides = []
     for alpha, beta in x.reshape(2, 2):
-        rz = np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
+        rz = np.diag(np.exp(alpha * _HALF_Z.diagonal()))
         ry = np.array(
             [[np.cos(beta / 2), -np.sin(beta / 2)], [np.sin(beta / 2), np.cos(beta / 2)]]
         )
