@@ -32,6 +32,8 @@ def as_matrix(a) -> np.ndarray:
 
 def check_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     m = as_matrix(a)
+    if not np.isfinite(m).all():  # NaN would pass every comparison below
+        raise NotHermitian("matrix has a non-finite entry")
     dev = np.abs(m - m.conj().T).max()
     if dev == 0.0:  # exactly Hermitian, whatever the scale
         return m

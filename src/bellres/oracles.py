@@ -15,6 +15,7 @@ import numpy as np
 
 from .bounds import RankSolution
 from .errors import InfeasibleConstraint
+from .linalg import check_hermitian
 
 DEFAULT_SEED = 0xB311
 
@@ -72,10 +73,48 @@ def sample_spectra(cfg: SamplerConfig, d: int, rng: np.random.Generator | None =
     raise InfeasibleConstraint(f"unknown constraint {cfg.constraint!r}")
 
 
+def _eigenbasis_weights(rng: np.random.Generator, n: int, vh: np.ndarray) -> np.ndarray:
+    """|W_aj|^2 for j < d, with W = V^dag Q and Q from the QR of n complex Gaussians.
+
+    The draw takes every real part, then every imaginary part, of n d x d
+    Gaussians, as two (n, d, d) draws would; only their first d - 1 columns
+    are used.  Its own function, so that the chunk-sized arrays are freed
+    before the next chunk draws.
+    """
+    d = vh.shape[0]
+    gauss = np.empty((n, d, d - 1), dtype=complex)
+    gauss.real, gauss.imag = rng.standard_normal((2, n, d, d))[..., :-1]
+    w = vh @ np.linalg.qr(gauss)[0]
+    return w.real**2 + w.imag**2
+
+
 def sample_max_expectation(op, cfg: SamplerConfig) -> float:
-    """Max of Tr(rho I) over the sampled constrained states (vectorized)."""
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
+    """Max of Tr(rho I) over the sampled constrained states (vectorized).
+
+    Each sample is rho = sum_j lam_j u_j u_j^dag, with lam from
+    `sample_spectra` and u_j the columns of Q in the QR of a d x d complex
+    Gaussian G.  Q of a complex Gaussian is Haar up to column phases
+    (Mezzadri, Notices AMS 54, 2007), and a phase on u_j leaves u_j^dag I u_j
+    unchanged.  Two identities then give Tr(rho I) = sum_j lam_j u_j^dag I u_j
+    without a product with I and without the last column:
+
+    - with I = V diag(mu) V^dag and W = V^dag Q, u_j^dag I u_j =
+      sum_a mu_a |W_aj|^2;
+    - the u_j are orthonormal, so sum_j u_j^dag I u_j = Tr I and
+      Tr(rho I) = sum_{j<d} (lam_j - lam_d) u_j^dag I u_j + lam_d Tr I.
+
+    Column j of the Householder Q depends only on the first j + 1 columns
+    of G, so the QR of G's first d - 1 columns gives those columns of Q.
+
+    Raises NotHermitian for a non-Hermitian op or one with a non-finite
+    entry, and InfeasibleConstraint for a count below 1.
+    """
+    if cfg.count < 1:
+        raise InfeasibleConstraint(f"count must be at least 1, got {cfg.count}")
+    mu, vecs = np.linalg.eigh(check_hermitian(op))
+    d = len(mu)
+    vh = vecs.conj().T
+    trace = float(mu.sum())
     rng = default_rng(cfg.seed)
     best = -np.inf
     remaining = cfg.count
@@ -83,11 +122,9 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
         n = min(20000, remaining)  # chunks bound the memory of the batched unitaries
         sub = SamplerConfig(cfg.seed, n, cfg.constraint, cfg.value)
         spectra = sample_spectra(sub, d, rng)
-        # Q of a complex Gaussian is Haar up to column phases, which leave u_j^dag I u_j unchanged
-        gauss = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-        units = np.linalg.qr(gauss)[0]
-        diag = np.einsum("naj,ab,nbj->nj", units.conj(), op, units).real
-        vals = np.einsum("nj,nj->n", spectra, diag)
+        diag = mu @ _eigenbasis_weights(rng, n, vh)  # u_j^dag I u_j for j < d
+        gaps = spectra[:, :-1] - spectra[:, -1:]  # lam_j - lam_d for j < d
+        vals = np.einsum("nj,nj->n", gaps, diag) + spectra[:, -1] * trace
         best = max(best, float(vals.max()))
         remaining -= n
     return best

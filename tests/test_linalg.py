@@ -289,6 +289,24 @@ class TestValidation:
         with pytest.raises(NotHermitian):
             check_hermitian([[0, 1e-3], [0, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_entry_refused(self, bad):
+        m = np.diag([1.0, -1.0]).astype(complex)
+        m[0, 0] = bad
+        with pytest.raises(NotHermitian, match="non-finite entry"):
+            check_hermitian(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_callers_refuse_non_finite_entries(self, bad):
+        m = np.eye(2) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(NotHermitian, match="non-finite entry"):
+            eig_hermitian(m)
+        with pytest.raises(NotHermitian, match="non-finite entry"):
+            commutator_norm(PAULI_X, m)
+        with pytest.raises(NotHermitian, match="non-finite entry"):
+            density_state(m, (2,))
+
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
     def test_not_a_square_matrix(self, shape):
         with pytest.raises(DimMismatch, match="expected a square matrix"):

@@ -9,7 +9,7 @@ from bellres.bounds import (
     min_lambda1_for_value,
     min_renyi2_for_value,
 )
-from bellres.errors import InfeasibleConstraint
+from bellres.errors import InfeasibleConstraint, NotHermitian
 from bellres.oracles import (
     DEFAULT_SEED,
     SamplerConfig,
@@ -116,11 +116,60 @@ class TestSamplers:
             sample_spectra(SamplerConfig(1, 5, "bogus", 0.5), 4)
 
 
+def _full_qr_max(op, cfg):
+    """The sampler's direct formula: full QR and u_j^dag I u_j for every column, on its stream."""
+    op = np.asarray(op, dtype=complex)
+    d = op.shape[0]
+    rng = default_rng(cfg.seed)
+    best = -np.inf
+    remaining = cfg.count
+    while remaining > 0:
+        n = min(20000, remaining)
+        spectra = sample_spectra(SamplerConfig(cfg.seed, n, cfg.constraint, cfg.value), d, rng)
+        gauss = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        units = np.linalg.qr(gauss)[0]
+        diag = np.einsum("naj,ab,nbj->nj", units.conj(), op, units).real
+        best = max(best, float(np.einsum("nj,nj->n", spectra, diag).max()))
+        remaining -= n
+    return best
+
+
 class TestDomination:
     def test_chsh_lambda1_06(self, chsh_op):
         cfg = SamplerConfig(seed=9, count=20000, constraint="fixed-lambda1", value=0.6)
         bound = 0.6 * 2 * RT2  # top two eigenvalues are 2*sqrt(2) and 0
         assert sample_max_expectation(chsh_op, cfg) <= bound + 1e-9
+
+
+class TestSampleMaxExpectation:
+    @pytest.mark.parametrize("constraint", ["none", "fixed-lambda1"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_full_qr_formula(self, d, constraint):
+        rng = default_rng(0x5A3 + d)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        op = g + g.conj().T
+        # 20,001 samples cross the 20,000-sample chunk boundary
+        lam1 = 1.0 / d + 0.3 * (1.0 - 1.0 / d)
+        cfg = SamplerConfig(int(rng.integers(2**32)), 20_001, constraint, lam1)
+        want = _full_qr_max(op, cfg)
+        assert abs(sample_max_expectation(op, cfg) - want) <= 1e-13 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one_raises(self, chsh_op, count):
+        with pytest.raises(InfeasibleConstraint, match="count"):
+            sample_max_expectation(chsh_op, SamplerConfig(1, count, "fixed-lambda1", 0.6))
+
+    def test_non_finite_op_raises(self, chsh_op):
+        op = chsh_op.copy()
+        op[1, 2] = op[2, 1] = np.nan
+        with pytest.raises(NotHermitian, match="non-finite"):
+            sample_max_expectation(op, SamplerConfig(1, 100, "fixed-lambda1", 0.6))
+
+    def test_non_hermitian_op_raises(self, chsh_op):
+        op = chsh_op.copy()
+        op[0, 3] += 0.5
+        with pytest.raises(NotHermitian, match="asymmetry"):
+            sample_max_expectation(op, SamplerConfig(1, 100, "fixed-lambda1", 0.6))
 
 
 class TestNelderMeadMax:
