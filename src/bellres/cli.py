@@ -1,13 +1,16 @@
 """Command-line interface: scenario ingestion, bound computation, and
 figure-data emission (CSV/JSON on stdout, diagnostics on stderr).
 
-Exit codes: 0 success, 1 input error, 2 infeasible target, 3 solver failure.
+Exit codes: 0 success (also when the reader closes stdout early), 1 input
+error, 2 infeasible target, 3 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -22,40 +25,78 @@ I3322_REF_CR = 0.8418
 I3322_REF_ER = 0.8291
 
 
-_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+_BOOL_TEXT = ("false", "true")
+
+# most rows a table command prints; a larger grid is refused before it is built.
+# A million rows of distinct numbers take about 0.35 GB and 5 s to print
+MAX_TABLE_ROWS = 10**6
+
+
+def _column_text(col: np.ndarray, end: str) -> np.ndarray:
+    """The CSV text of each entry of a column and then end, as the rows of a
+    uint8 array: ASCII bytes padded with NULs to the longest entry.
+
+    Numbers print with 12 significant digits and non-finite ones as nan;
+    booleans print as true/false.  Each distinct number is formatted once:
+    distinct means distinct bits, so -0.0 prints -0 and 0.0 prints 0.
+    """
+    if col.dtype == bool:
+        text, index = np.array([t + end for t in _BOOL_TEXT], dtype="S"), col.astype(np.intp)
+    else:
+        col = np.asarray(col, dtype=np.float64)
+        bits = np.where(np.isfinite(col), col, np.nan).view(np.int64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        text = np.array(
+            ["%.12g" % x + end for x in distinct.view(np.float64).tolist()], dtype="S"
+        )
+    return text[index].view(np.uint8).reshape(len(col), text.itemsize)
 
 
 def _emit_csv(header: list[str], columns) -> None:
-    """Print one CSV row per entry of the equal-length columns.
+    """Write the header and one CSV row per entry of the equal-length columns.
 
-    Numbers print with 12 significant digits and non-finite ones as nan;
-    booleans print as true/false.
+    The rows are the columns' texts side by side with the NUL padding
+    dropped, which no formatted value contains; every column is formatted
+    before anything is written.
     """
-    print(",".join(header))
     cols = [np.asarray(col).ravel() for col in columns]
-    row_format = ",".join("%s" if col.dtype == bool else "%.12g" for col in cols)
-    values = [
-        _BOOL_TEXT[col.astype(np.intp)] if col.dtype == bool
-        else np.where(np.isfinite(col), col, np.nan)
-        for col in cols
-    ]
-    for row in zip(*(col.tolist() for col in values)):
-        print(row_format % row)
+    ends = [","] * (len(cols) - 1) + ["\n"]
+    texts = [_column_text(col, end) for col, end in zip(cols, ends)]
+    body = np.concatenate(texts, axis=1).tobytes().replace(b"\0", b"").decode("ascii")
+    sys.stdout.write(",".join(header) + "\n")
+    sys.stdout.write(body)
 
 
 def _curve_columns(curve: np.recarray) -> list[np.ndarray]:
     return [curve[name] for name in curve.dtype.names]
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    try:
-        start, stop, steps = spec.split(":")
-        ends = np.array([float(start), float(stop)])
-        if np.isfinite(ends).all():
-            return np.linspace(*ends, int(steps))
-    except ValueError:
-        pass
-    raise ValueError(f"grid must be start:stop:steps with finite start and stop, got {spec!r}")
+def _parse_grids(*specs: str) -> list[np.ndarray]:
+    """The grids start:stop:steps, one per spec.
+
+    Each needs finite ends and at least one step, and the product of the
+    step counts, the rows of the table, may not pass MAX_TABLE_ROWS; all of
+    this is checked before any grid is built.
+    """
+    ends, counts = [], []
+    for spec in specs:
+        try:
+            start, stop, steps = spec.split(":")
+            ends.append(np.array([float(start), float(stop)]))
+            counts.append(int(steps))
+        except ValueError:
+            raise ValueError(f"grid must be start:stop:steps, got {spec!r}") from None
+        if not (np.isfinite(ends[-1]).all() and counts[-1] >= 1):
+            raise ValueError(
+                f"grid needs finite start and stop and at least one step, got {spec!r}"
+            )
+    rows = math.prod(counts)
+    if rows > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"grid {' x '.join(map(repr, specs))} has {rows} rows, "
+            f"more than the {MAX_TABLE_ROWS} a table may have"
+        )
+    return [np.linspace(*e, n) for e, n in zip(ends, counts)]
 
 
 def _array(value, what: str) -> np.ndarray:
@@ -184,20 +225,20 @@ def cmd_bound(args) -> int:
 
 
 def cmd_chsh_curve(args) -> int:
-    curve = twoqubit.min_er_vs_c_curve(args.v, _parse_grid(args.c_grid))
+    curve = twoqubit.min_er_vs_c_curve(args.v, *_parse_grids(args.c_grid))
     _emit_csv(["C", "lambda1", "E_R", "P_R", "feasible"], _curve_columns(curve))
     return 0
 
 
 def cmd_steering_curve(args) -> int:
-    curve = twoqubit.min_er_vs_ca_curve(args.v, _parse_grid(args.ca_grid))
+    curve = twoqubit.min_er_vs_ca_curve(args.v, *_parse_grids(args.ca_grid))
     _emit_csv(["C_A", "lambda1", "E_R", "P_R", "feasible"], _curve_columns(curve))
     return 0
 
 
 def cmd_heatmap(args) -> int:
-    ca = _parse_grid(args.ca_grid)
-    grid = twoqubit.lambda1_heatmap(args.v, ca, _parse_grid(args.cb_grid))
+    ca, cb = _parse_grids(args.ca_grid, args.cb_grid)
+    grid = twoqubit.lambda1_heatmap(args.v, ca, cb)
     _emit_csv(
         ["C_A", "C_B", "lambda1", "E_R", "P_R", "feasible"],
         [np.repeat(ca, grid.shape[1]), *_curve_columns(grid)],
@@ -206,7 +247,7 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_min_resources(args) -> int:
-    v = _parse_grid(args.v_grid)
+    (v,) = _parse_grids(args.v_grid)
     curve = twoqubit.min_er_vs_c_curve(v, 4.0)  # C_R = D_R = E_R for Bell-diagonal operators
     _emit_csv(
         ["v", "P_R", "C_R", "D_R", "E_R", "feasible"],
@@ -216,7 +257,7 @@ def cmd_min_resources(args) -> int:
 
 
 def cmd_relent_compare(args) -> int:
-    c = _parse_grid(args.c_grid)
+    (c,) = _parse_grids(args.c_grid)
     curve = twoqubit.min_er_vs_c_curve(args.v, c)
     mu = twoqubit.chsh_eigenvalues(c)
     target = 2.0 + args.v
@@ -339,7 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); point stdout at devnull so the
+        # interpreter's last flush of what is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

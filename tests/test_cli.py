@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bellres import barrier, cli, twoqubit
 from bellres.errors import Infeasible, SolverFailure
@@ -364,6 +368,58 @@ class TestCurveCommands:
         assert out == ""
         assert err.startswith("input error:") and grid in err
 
+    # no steps, or more rows than a table may have; np.linspace is disabled,
+    # so a grid built before the refusal fails the test instead of allocating
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh-curve", "--c-grid", "0:4:0"],
+            ["chsh-curve", "--c-grid=0:4:-3"],
+            ["chsh-curve", "--c-grid", "0:4:400000000"],
+            ["steering-curve", "--ca-grid", "0:2:0"],
+            ["heatmap", "--ca-grid", "0:2:0", "--cb-grid", "0:2:3"],
+            ["heatmap", "--ca-grid", "0:2:20000", "--cb-grid", "0:2:20000"],
+            ["min-resources", "--v-grid", "0.001:0.5:0"],
+            ["relent-compare", "--c-grid", "0:4:0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_refused_grid_exits_1(self, capsys, monkeypatch, argv):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a refused grid was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        if argv[0] != "min-resources":
+            argv = [*argv, "--v", "0.001"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:") and "grid" in err
+
+    def test_heatmap_rows_are_the_product_of_the_steps(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 9)
+        argv = ["heatmap", "--v", "0.001", "--ca-grid", "0:2:3"]
+        code, out, _ = run(capsys, [*argv, "--cb-grid", "0:2:3"])
+        assert code == 0 and len(parse_csv(out)[1]) == 9
+        code, out, err = run(capsys, [*argv, "--cb-grid", "0:2:4"])
+        assert code == 1 and out == ""
+        assert "12 rows" in err
+
+    def test_closed_stdout_exits_0_quietly(self):
+        # the table is far larger than a pipe's buffer, so the writer is still
+        # writing when the reader goes away after the first line
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["heatmap", "--v", "0.001", "--ca-grid", "0:2:401", "--cb-grid", "0:2:401"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bellres.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"C_A,C_B,lambda1,E_R,P_R,feasible\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
     # each table command with one bad v: v <= 0, NaN or inf
     @pytest.mark.parametrize("v", ["0", "-0.1", "nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -431,7 +487,8 @@ class TestCurveCommands:
 class TestGoldenOutputs:
     # sha256 of the README commands' stdout, recorded from the per-point loop
     # implementation; the array code must print the same bytes.  relent-compare
-    # was re-recorded when relent came to bisect on the normalised levels
+    # was re-recorded when relent came to bisect on the normalised levels.  The
+    # heatmap digests were recorded from the per-row % emitter
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -451,13 +508,80 @@ class TestGoldenOutputs:
                 ["relent-compare", "--v", "0.2", "--c-grid", "0:4:101"],
                 "7248bc32791e7bd76931350b9c2f14688f21d72dd24c9b4882dadf0cb0a8c7bc",
             ),
+            (
+                ["heatmap", "--v", "0.001"],
+                "1d6e15f6f11bb640b3337bb786a4087c8466cd9bab95ce82865462b29efcbd1e",
+            ),
+            (
+                ["heatmap", "--v", "0.001", "--ca-grid", "0:2:401", "--cb-grid", "0:2:401"],
+                "9a832f4aee5437343766faefe525b3c5f7108ae6e48e9d9c5f6666606a35b533",
+            ),
+            (  # 1,293 of its 1,881 rows are infeasible: nan and false
+                ["heatmap", "--v", "0.3", "--ca-grid", "0:2:57", "--cb-grid", "0:2:33"],
+                "813990e84fc3464fdb0fd6e26d1bf6d7505dc0e29deff805127ef64450357b5b",
+            ),
         ],
-        ids=["chsh-curve", "steering-curve", "min-resources", "relent-compare"],
+        ids=["chsh-curve", "steering-curve", "min-resources", "relent-compare",
+             "heatmap", "heatmap-401", "heatmap-infeasible"],
     )
     def test_readme_csv_bytes(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _reference_csv(header, columns) -> str:
+    """The per-row emitter that formatted each value of each row with %."""
+    lines = [",".join(header)]
+    cols = [np.asarray(col).ravel() for col in columns]
+    row_format = ",".join("%s" if col.dtype == bool else "%.12g" for col in cols)
+    values = [
+        np.array(["false", "true"], dtype=object)[col.astype(np.intp)] if col.dtype == bool
+        else np.where(np.isfinite(col), col, np.nan)
+        for col in cols
+    ]
+    for row in zip(*(col.tolist() for col in values)):
+        lines.append(row_format % row)
+    return "".join(line + "\n" for line in lines)
+
+
+# 0.0 and -0.0; quiet NaNs of both signs, one with a payload, and a signalling
+# one; +-inf; the smallest positive and the largest negative subnormal
+_SPECIAL_FLOATS = np.array(
+    [0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000ABC,
+     0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x800FFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and equal-length columns, each bool or drawn with repeats from a
+    small pool of special and arbitrary floats."""
+    rows = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows))))
+            continue
+        pool = np.concatenate([
+            _SPECIAL_FLOATS,
+            draw(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=6)),
+        ])
+        index = st.integers(0, len(pool) - 1)
+        columns.append(pool[draw(st.lists(index, min_size=rows, max_size=rows))])
+    return [f"col{k}" for k in range(len(columns))], columns
+
+
+@given(table=_csv_tables())
+@example(table=(["x", "ok"], [np.array([]), np.array([], dtype=bool)]))
+@example(table=(["x"], [np.array([-0.0, 0.0, -0.0, np.nan, 5e-324])]))
+def test_emit_csv_matches_the_per_row_formatter(table):
+    header, columns = table
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_csv(header, columns)
+    assert out.getvalue() == _reference_csv(header, columns)
 
 
 class TestBoundGolden:
