@@ -40,8 +40,12 @@ class BellScenario:
     psd_tol: float = 1e-10  # slack for POVM elements printed at finite precision
 
     def __post_init__(self):
-        for povms in (self.alice, self.bob):
-            for setting in povms:
+        for party, povms in (("alice", self.alice), ("bob", self.bob)):
+            if not povms:
+                raise ValueError(f"{party} has no settings")
+            for x, setting in enumerate(povms):
+                if not setting:
+                    raise ValueError(f"{party} setting {x} has no elements")
                 if not all(np.isfinite(m).all() for m in setting):
                     raise ValueError("POVM elements must be finite")
                 total = sum(setting)

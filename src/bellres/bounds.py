@@ -86,16 +86,14 @@ def _lagrange(z: np.ndarray, value_at) -> tuple[float, np.ndarray]:
     Only ranks above the top eigenspace are scanned.  On the top r levels
     z = mu - mu1, with a their mean and s = sum (z_k - a)^2 > 0, the
     stationary weights at tau = t - mu1 are lambda_k = 1/r + (tau - a)(z_k - a)/s,
-    whose purity is 1/r + (tau - a)^2/s.  value_at(r, a, s) gives tau, or None
-    to skip the rank.  Returns (tau, weights).
+    whose purity is 1/r + (tau - a)^2/s.  value_at(r, a, s) gives tau.
+    Returns (tau, weights).
     """
     for r in range(len(z), len(_top_space(z)), -1):
         a = float(z[:r].mean())
         centred = z[:r] - a
         s = float((centred**2).sum())
         tau = value_at(r, a, s)
-        if tau is None:
-            continue
         lam = 1.0 / r + (tau - a) * centred / s
         if lam.min() >= -_NEG_TOL:
             lam = np.clip(lam, 0.0, None)
@@ -160,9 +158,7 @@ def max_value_given_renyi2(mu, p2: float, d: int) -> RankSolution:
         lam = np.append(top, np.full(n - 1, (1.0 - top) / max(n - 1, 1)))
         return RankSolution(lam, float(mu[0]), p2)
 
-    def value_at(r: int, a: float, s: float) -> float | None:
-        if purity < 1.0 / r - 1e-12:
-            return None
+    def value_at(r: int, a: float, s: float) -> float:
         return a + np.sqrt(max(0.0, (purity - 1.0 / r) * s))
 
     tau, lam = _lagrange(z, value_at)

@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("i3322-check", help="reproduce the three-setting experiment numbers")
     p.add_argument("--skip-cr", action="store_true", help="skip the stochastic C_R search")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=int, default=4)
     p.set_defaults(func=cmd_i3322_check)
 
     return parser

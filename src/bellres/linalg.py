@@ -120,10 +120,6 @@ class DensityState:
     matrix: np.ndarray
     dims: tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def density_state(matrix, dims, *, tol: float = 1e-10) -> DensityState:
     m = check_hermitian(matrix, rtol=1e-10)

@@ -203,8 +203,9 @@ class TestScenarioFiles:
                 "bloch_a must be a list of lists",
             ),
             (lambda doc: doc["correlation"].update(g={}), "g: expected numbers in float range"),
+            (lambda doc: doc["correlation"].update(g=[[]], bloch_b=[]), "bob has no settings"),
         ],
-        ids=["correlation-number", "bloch-null", "g-object"],
+        ids=["correlation-number", "bloch-null", "g-object", "bob-empty"],
     )
     def test_malformed_correlation_form_exits_1(self, capsys, tmp_path, edit, message):
         doc = {"correlation": {"g": [[1]], "bloch_a": [[0, 0, 1]], "bloch_b": [[0, 0, 1]]}}
@@ -258,12 +259,14 @@ class TestScenarioFiles:
                 lambda doc: doc["measurements"]["alice"][0].__setitem__(0, {"re": 1.0}),
                 "alice setting 0: expected numbers in float range",
             ),
+            (lambda doc: doc["measurements"].update(alice=[]), "alice has no settings"),
+            (lambda doc: doc["measurements"].update(alice=[[]]), "alice setting 0 has no elements"),
         ],
         ids=[
             "a-too-large", "x-too-large", "a-negative", "c-nan", "povm-nan", "povm-shape",
             "a-fraction", "a-above-one", "a-true", "a-null", "c-null", "dims-one", "dims-null",
             "dims-zero", "coefficients-number", "c-beyond-float", "measurements-number",
-            "alice-number", "povm-object",
+            "alice-number", "povm-object", "alice-empty", "alice-setting-empty",
         ],
     )
     def test_malformed_measurement_form_exits_1(self, capsys, tmp_path, edit, message):
@@ -687,6 +690,13 @@ class TestI3322Check:
         assert doc["C_R_within_tolerance"] is True and doc["hierarchy_ok"] is True
         assert doc["E_R"] < doc["C_R"] < doc["P_R"]
 
+    def test_default_restarts_reach_the_reference_c_r(self, capsys):
+        code, out, _ = run(capsys, ["i3322-check"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["C_R"] == pytest.approx(0.8419287612, abs=1e-9)
+        assert doc["hierarchy_ok"] is True
+
     def test_cr_search_failure_exits_3(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise SolverFailure("no solve")
@@ -699,7 +709,6 @@ class TestI3322Check:
 
     @pytest.mark.parametrize("restarts", ["0", "-2"])
     def test_no_restarts_is_an_input_error(self, capsys, restarts):
-        # no restart leaves one polish from angle zero, which is not a search
         code, out, err = run(capsys, ["i3322-check", "--restarts", restarts])
         assert code == 1
         assert out == ""
