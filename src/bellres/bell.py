@@ -71,7 +71,7 @@ class BellScenario:
 def observable_from_bloch(a) -> np.ndarray:
     """Traceless qubit observable a . sigma with eigenvalues +/-1."""
     v = np.asarray(a, dtype=float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN fails <=
         raise NotUnit(f"not a unit 3-vector: {a}")
     return sum(v[i] * PAULIS[i] for i in range(3))
 

@@ -34,10 +34,13 @@ def _frame(mu, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d levels mu and z = mu - mu1, exact where the offset dominates (Sterbenz's lemma).
 
     Every closed form works on z and tau = t - mu1, so an offset costs no digits.
+    OutOfRange unless mu is finite and descending (ties allowed).
     """
     mu = np.asarray(mu, dtype=float)
     if len(mu) != d:
         raise OutOfRange(f"expected {d} eigenvalues, got {len(mu)}")
+    if not (np.isfinite(mu).all() and (mu[:-1] >= mu[1:]).all()):
+        raise OutOfRange(f"eigenvalues must be finite and descending, got {mu}")
     return mu, mu - mu[0]
 
 

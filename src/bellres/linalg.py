@@ -1,8 +1,9 @@
 """Dense complex Hermitian linear algebra for small matrices (d <= 16).
 
 All operations are pure functions over immutable numpy arrays.  The
-eigendecomposition is made fully deterministic (including inside degenerate
-clusters) so that downstream optimal-state constructions are reproducible.
+eigendecomposition is deterministic: eigh is, and a phase rule fixes each
+eigenvector's phase, so downstream optimal-state constructions are
+reproducible.
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ def eig_hermitian(a) -> Spectrum:
 
     Eigenvalues come out in descending order.  Each eigenvector's first
     nonzero entry (the first above 1e-12 of its largest) is made real
-    positive, and vectors inside a degenerate cluster (levels within _tol of
-    the cluster's first) are ordered lexicographically by their interleaved
-    (re, im) entries, so identical inputs always produce identical output.
+    positive, so identical inputs always produce identical output.  Inside a
+    degenerate eigenspace the vectors are in whatever order eigh returns.
     """
     m = check_hermitian(a)
     vals, vecs = np.linalg.eigh(m)
@@ -76,19 +76,6 @@ def eig_hermitian(a) -> Spectrum:
     pivot = vecs[np.argmax(size > 1e-12 * size.max(axis=0), axis=0), np.arange(len(vals))]
     # |pivot| as hypot, the scalar abs: np.abs of a complex array rounds differently
     vecs = vecs * (np.hypot(pivot.real, pivot.imag) / pivot)
-    # deterministic ordering inside degenerate clusters
-    levels = vals.tolist()
-    tol = float(_tol(vals))
-    j = 0
-    d = len(levels)
-    while j < d:
-        k = j + 1
-        while k < d and levels[j] - levels[k] <= tol:
-            k += 1
-        if k - j > 1:
-            keys = np.ascontiguousarray(vecs[:, j:k].T).view(float)  # row i: re, im, re, ...
-            vecs[:, j:k] = vecs[:, j:k][:, np.lexsort(keys.T[::-1])]  # first entry is primary
-        j = k
     return Spectrum(values=vals, vectors=vecs)
 
 

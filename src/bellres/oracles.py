@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import RankSolution
-from .errors import InfeasibleConstraint
+from .errors import InfeasibleConstraint, OutOfRange
 from .linalg import check_hermitian
 
 DEFAULT_SEED = 0xB311
@@ -162,11 +162,14 @@ def min_purity_nelder_mead(mu, target: float, *, seed: int | None = None) -> flo
     {sum lam = 1, lam . mu = target} by its nullspace and runs penalized
     Nelder-Mead from random starts; the support found by the search is then
     refined by exact quadratic solves on its nested top-r subsets (the
-    quadratic penalty alone plateaus around 1e-6).
+    quadratic penalty alone plateaus around 1e-6).  OutOfRange for a non-finite
+    level or target.
     """
     from scipy.optimize import minimize  # lazily: the CLI imports this module
 
     mu = np.asarray(mu, dtype=float)
+    if not (np.isfinite(mu).all() and np.isfinite(target)):
+        raise OutOfRange(f"levels and target must be finite, got {mu} and {target}")
     d = len(mu)
     a_eq = np.stack([np.ones(d), mu])
     b_eq = np.array([1.0, target])

@@ -17,7 +17,15 @@ from . import barrier
 from .barrier import ConeConstraint, hermitian_basis, hermitian_from_params, params_from_hermitian
 from .bounds import _check_interior, construct_optimal_state, min_lambda1_for_value
 from .errors import NotBellDiagonal, OutOfRange, SolverFailure
-from .linalg import DensityState, Spectrum, _tol, density_state, eig_hermitian, partial_transpose
+from .linalg import (
+    DensityState,
+    Spectrum,
+    _tol,
+    check_hermitian,
+    density_state,
+    eig_hermitian,
+    partial_transpose,
+)
 
 _B = (1.0 / np.sqrt(2.0)) * np.array(
     [
@@ -239,7 +247,7 @@ def er_ppt_solver(rho: DensityState) -> float:
     Solves min Tr(sigma) s.t. sigma >= 0 and (rho + sigma)^{T_B} >= 0 with the
     primal-dual SDP solver; for 2x2 systems PPT is exact separability.
     """
-    m = rho.matrix if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
+    m = rho.matrix if isinstance(rho, DensityState) else check_hermitian(rho)
     cones = [
         ConeConstraint(a0=np.zeros((4, 4), dtype=complex), basis=_H4),
         ConeConstraint(a0=partial_transpose(m, 1), basis=_H4_PT),
@@ -368,7 +376,7 @@ def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9, gradient: b
     gives the change of the value with the basis U as Re tr(G^dag dU): only
     the cone's a0 = -U^dag rho U depends on U, and Z is its dual.
     """
-    m = rho.matrix if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
+    m = rho.matrix if isinstance(rho, DensityState) else check_hermitian(rho)
     d = m.shape[0]
     u, rot = _rotate(m, basis)
     cones = [ConeConstraint(a0=-rot, basis=_diag_basis(d))]

@@ -47,6 +47,10 @@ class TestObservableFromBloch:
         with pytest.raises(NotUnit):
             observable_from_bloch([1, 1, 0])
 
+    def test_nan_is_not_unit(self):
+        with pytest.raises(NotUnit):
+            observable_from_bloch([np.nan, 0, 0])
+
 
 class TestBuildBellOperator:
     def test_zero_coefficients(self):

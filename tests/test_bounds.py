@@ -524,6 +524,26 @@ def test_spectrum_length_must_match_d(solve):
         solve(MU4, 0.5, 3)
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [[1.0, np.nan, 0.0, -1.0], [np.inf, 0.0, 0.0, -1.0], [-1.0, 0.0, 0.5, 1.0]],
+    ids=["nan", "inf", "ascending"],
+)
+@pytest.mark.parametrize(
+    "solve, arg",
+    [
+        (max_value_given_probustness, 1.0),
+        (min_lambda1_for_value, 0.5),
+        (max_value_given_renyi2, 0.5),
+        (min_renyi2_for_value, 0.5),
+    ],
+    ids=["max-probustness", "min-lambda1", "max-renyi2", "min-renyi2"],
+)
+def test_spectrum_must_be_finite_and_descending(solve, arg, mu):
+    with pytest.raises(OutOfRange, match="finite and descending"):
+        solve(np.array(mu), arg, 4)
+
+
 @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "solve",

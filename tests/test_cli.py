@@ -204,8 +204,12 @@ class TestScenarioFiles:
             ),
             (lambda doc: doc["correlation"].update(g={}), "g: expected numbers in float range"),
             (lambda doc: doc["correlation"].update(g=[[]], bloch_b=[]), "bob has no settings"),
+            (
+                lambda doc: doc["correlation"].update(bloch_a=[[float("nan"), 0, 0]]),
+                "not a unit 3-vector",
+            ),
         ],
-        ids=["correlation-number", "bloch-null", "g-object", "bob-empty"],
+        ids=["correlation-number", "bloch-null", "g-object", "bob-empty", "bloch-nan"],
     )
     def test_malformed_correlation_form_exits_1(self, capsys, tmp_path, edit, message):
         doc = {"correlation": {"g": [[1]], "bloch_a": [[0, 0, 1]], "bloch_b": [[0, 0, 1]]}}

@@ -9,7 +9,7 @@ from bellres.bounds import (
     min_lambda1_for_value,
     min_renyi2_for_value,
 )
-from bellres.errors import InfeasibleConstraint, NotHermitian
+from bellres.errors import InfeasibleConstraint, NotHermitian, OutOfRange
 from bellres.oracles import (
     DEFAULT_SEED,
     SamplerConfig,
@@ -240,3 +240,17 @@ class TestPurityOracle:
         sol = min_renyi2_for_value(mu, 2.2, 4)
         closed = float((sol.lambdas**2).sum())
         assert abs(min_purity_nelder_mead(mu, 2.2, seed=18) - closed) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "mu, target",
+        [
+            ([3.0, 1.0, 0.0, -2.0], np.nan),
+            ([3.0, np.nan, 0.0, -2.0], 1.8),
+            ([np.inf, 1.0, 0.0, -2.0], 1.8),
+        ],
+        ids=["nan-target", "nan-level", "inf-level"],
+    )
+    def test_non_finite_input_is_out_of_range(self, capfd, mu, target):
+        with pytest.raises(OutOfRange):
+            min_purity_nelder_mead(np.array(mu), target, seed=19)
+        assert capfd.readouterr().err == ""  # refused before LAPACK sees it

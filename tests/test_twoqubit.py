@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bellres import barrier, bell, twoqubit
 from bellres.bounds import min_lambda1_for_value
-from bellres.errors import Infeasible, NotBellDiagonal, OutOfRange, SolverFailure
+from bellres.errors import Infeasible, NotBellDiagonal, NotHermitian, OutOfRange, SolverFailure
 from bellres.linalg import PAULI_X, PAULI_Z, density_state, eig_hermitian, tensor
 from bellres.oracles import default_rng
 from bellres.twoqubit import (
@@ -381,6 +381,14 @@ class TestErSolvers:
     def test_joint_min_non_finite_target(self, chsh_op, program):
         with pytest.raises(OutOfRange, match="target must be finite"):
             program(chsh_op, np.nan)
+
+
+@pytest.mark.parametrize(
+    "program", [er_ppt_solver, lambda rho: cr_fixed_basis(rho, np.eye(4))], ids=["er", "cr"]
+)
+def test_fixed_state_programs_refuse_a_nan_array(program):
+    with pytest.raises(NotHermitian, match="non-finite"):
+        program(np.full((4, 4), np.nan))
 
 
 class TestCrSolvers:
