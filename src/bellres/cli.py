@@ -8,6 +8,7 @@ error, 2 infeasible target, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -46,25 +47,31 @@ def _column_text(col: np.ndarray, end: str) -> np.ndarray:
         col = np.asarray(col, dtype=np.float64)
         bits = np.where(np.isfinite(col), col, np.nan).view(np.int64)
         distinct, index = np.unique(bits, return_inverse=True)
-        text = np.array(
-            ["%.12g" % x + end for x in distinct.view(np.float64).tolist()], dtype="S"
-        )
+        fmt = "%.12g" + end
+        text = np.array([fmt % x for x in distinct.view(np.float64).tolist()], dtype="S")
     return text[index].view(np.uint8).reshape(len(col), text.itemsize)
 
 
-def _emit_csv(header: list[str], columns) -> None:
-    """Write the header and one CSV row per entry of the equal-length columns.
-
-    The rows are the columns' texts side by side with the NUL padding
-    dropped, which no formatted value contains; every column is formatted
-    before anything is written.
-    """
+def _columns_text(columns) -> np.ndarray:
+    """The text of the equal-length columns side by side, each entry with its
+    comma, the last column's with the newline: the rows of a uint8 array."""
     cols = [np.asarray(col).ravel() for col in columns]
     ends = [","] * (len(cols) - 1) + ["\n"]
-    texts = [_column_text(col, end) for col, end in zip(cols, ends)]
-    body = np.concatenate(texts, axis=1).tobytes().replace(b"\0", b"").decode("ascii")
+    return np.concatenate([_column_text(col, end) for col, end in zip(cols, ends)], axis=1)
+
+
+def _write_rows(header: list[str], text: np.ndarray) -> None:
+    """Write the header and then the rows of text, a uint8 array of ASCII
+    rows, with the NUL padding dropped, which no formatted value contains."""
+    body = text.tobytes().replace(b"\0", b"").decode("ascii")
     sys.stdout.write(",".join(header) + "\n")
     sys.stdout.write(body)
+
+
+def _emit_csv(header: list[str], columns) -> None:
+    """Write the header and one CSV row per entry of the equal-length columns;
+    every column is formatted before anything is written."""
+    _write_rows(header, _columns_text(columns))
 
 
 def _curve_columns(curve: np.recarray) -> list[np.ndarray]:
@@ -237,11 +244,22 @@ def cmd_steering_curve(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    """The lambda1_heatmap table, one row per (C_A, C_B), C_B varying fastest.
+
+    Its bytes are those of _emit_csv on the flattened columns, but built from
+    the table's structure: C_A and C_B are formatted once per grid value and
+    laid out by repeat and tile, and lambda1, E_R, P_R and feasible, which
+    depend only on C = C_A * C_B, are computed and formatted once per
+    distinct C and gathered into the rows by the index of their C.
+    """
     ca, cb = _parse_grids(args.ca_grid, args.cb_grid)
-    grid = twoqubit.lambda1_heatmap(args.v, ca, cb)
-    _emit_csv(
+    c, row_c = np.unique(twoqubit._c_product(ca, cb), return_inverse=True)
+    tail = _columns_text(_curve_columns(twoqubit.min_er_vs_c_curve(args.v, c))[1:])
+    lead_a = np.repeat(_column_text(ca, ","), len(cb), axis=0)
+    lead_b = np.tile(_column_text(cb, ","), (len(ca), 1))
+    _write_rows(
         ["C_A", "C_B", "lambda1", "E_R", "P_R", "feasible"],
-        [np.repeat(ca, grid.shape[1]), *_curve_columns(grid)],
+        np.concatenate([lead_a, lead_b, tail[row_c.ravel()]], axis=1),
     )
     return 0
 
@@ -377,9 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call to main and then reused:
+    parse_args keeps nothing from one call to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -8,6 +8,7 @@ overridden through the BRB_SEED environment variable.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -107,17 +108,19 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
     of G, so the QR of G's first d - 1 columns gives those columns of Q.
 
     Raises NotHermitian for a non-Hermitian op or one with a non-finite
-    entry, and InfeasibleConstraint for a count below 1.
+    entry, and InfeasibleConstraint for a count that is not an integer
+    (Python or numpy, not bool) of at least 1.
     """
-    if cfg.count < 1:
-        raise InfeasibleConstraint(f"count must be at least 1, got {cfg.count}")
+    count = cfg.count
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise InfeasibleConstraint(f"count must be an integer of at least 1, got {count!r}")
     mu, vecs = np.linalg.eigh(check_hermitian(op))
     d = len(mu)
     vh = vecs.conj().T
     trace = float(mu.sum())
     rng = default_rng(cfg.seed)
     best = -np.inf
-    remaining = cfg.count
+    remaining = count
     while remaining > 0:
         n = min(20000, remaining)  # chunks bound the memory of the batched unitaries
         sub = SamplerConfig(cfg.seed, n, cfg.constraint, cfg.value)
@@ -213,9 +216,13 @@ def stationarity_check(sol: RankSolution, mu) -> float:
 
     alpha, beta are recovered by least squares; valid for the fixed-purity
     (Lagrange) solutions, and expected to fail for the robustness program.
+    OutOfRange for a non-finite level or weight.
     """
-    mu = np.asarray(mu, dtype=float)[: sol.rank]
+    mu = np.asarray(mu, dtype=float)
     lam = np.asarray(sol.lambdas, dtype=float)
+    if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
+        raise OutOfRange(f"levels and weights must be finite, got {mu} and {lam}")
+    mu = mu[: sol.rank]
     design = np.stack([np.ones(sol.rank), mu], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, 2.0 * lam, rcond=None)
     alpha, beta = coeffs

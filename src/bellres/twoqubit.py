@@ -224,16 +224,22 @@ def min_er_vs_ca_curve(v: float, ca_grid) -> np.recarray:
     return _rank2_curve(c_a, steering_eigenvalues(c_a), np.sqrt(2.0), v)
 
 
+def _c_product(ca_grid, cb_grid) -> np.ndarray:
+    """C = C_A * C_B over the grid, row i at C_A = ca_grid[i], or OutOfRange
+    unless each single-party incompatibility lies in [0, 2]."""
+    return np.multiply.outer(_in_range("C_A", ca_grid, 2.0), _in_range("C_B", cb_grid, 2.0))
+
+
 def lambda1_heatmap(v: float, ca_grid, cb_grid) -> np.recarray:
     """Necessary lam1 over a (C_A, C_B) grid: the CHSH curve at C = C_A * C_B.
 
     Each single-party incompatibility must lie in [0, 2].  Row i holds C_A =
-    ca_grid[i]; the x field holds C_B.
+    ca_grid[i]; the x field holds C_B.  The other fields depend on the grid
+    point only through C, and equal min_er_vs_c_curve(v, C)'s.
     """
-    c_a = _in_range("C_A", ca_grid, 2.0)
-    c_b = _in_range("C_B", cb_grid, 2.0)
-    c = np.multiply.outer(c_a, c_b)
-    return _rank2_curve(np.broadcast_to(c_b, c.shape), chsh_eigenvalues(c), 2.0, v)
+    c = _c_product(ca_grid, cb_grid)
+    c_b = np.broadcast_to(np.asarray(cb_grid, dtype=float), c.shape)
+    return _rank2_curve(c_b, chsh_eigenvalues(c), 2.0, v)
 
 
 _H4 = hermitian_basis(4)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellres import barrier, cli, twoqubit
@@ -412,6 +412,29 @@ class TestCurveCommands:
         assert code == 1 and out == ""
         assert "12 rows" in err
 
+    def test_heatmap_formats_no_full_column(self, capsys, monkeypatch):
+        # C_A and C_B are formatted per grid value and the other columns per
+        # distinct C_A * C_B; the one np.unique over all rows is of that product
+        rows = 401 * 401
+        formatted, deduplicated = [], []
+        column_text, unique = cli._column_text, np.unique
+
+        def spy_column_text(col, end):
+            formatted.append(len(col))
+            return column_text(col, end)
+
+        def spy_unique(ar, *args, **kwargs):
+            deduplicated.append(np.size(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_column_text", spy_column_text)
+        monkeypatch.setattr(np, "unique", spy_unique)
+        argv = ["heatmap", "--v", "0.001", "--ca-grid", "0:2:401", "--cb-grid", "0:2:401"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.count("\n") == rows + 1
+        assert formatted and max(formatted) < rows
+        assert deduplicated.count(rows) == 1
+
     def test_closed_stdout_exits_0_quietly(self):
         # the table is far larger than a pipe's buffer, so the writer is still
         # writing when the reader goes away after the first line
@@ -489,6 +512,28 @@ class TestCurveCommands:
             cli.main(["chsh-curve", "--help"])
         assert exc.value.code == 0
         assert "--c-grid" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        # the README digests of heatmap and chsh-curve, around a usage error
+        calls = [
+            (["heatmap", "--v", "0.001"],
+             "1d6e15f6f11bb640b3337bb786a4087c8466cd9bab95ce82865462b29efcbd1e"),
+            (["chsh-curve", "--v", "0.001", "--no-such-flag"], None),
+            (["chsh-curve", "--v", "0.001", "--c-grid", "0:4:401"],
+             "61d4f15379e227598d185c101cca0edda10d6ae2e3751037475493c5902779ac"),
+        ]
+        for argv, digest in calls:
+            code, out, err = run(capsys, argv)
+            if digest is None:
+                assert code == 1 and out == "" and err.startswith("input error:")
+            else:
+                assert code == 0 and err == ""
+                assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert builds == [1]
 
 
 class TestGoldenOutputs:
@@ -588,6 +633,35 @@ def test_emit_csv_matches_the_per_row_formatter(table):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit_csv(header, columns)
+    assert out.getvalue() == _reference_csv(header, columns)
+
+
+@st.composite
+def _heatmap_grid(draw):
+    """A heatmap grid spec and its points: 1-25 steps between ends in [0, 2]."""
+    start, stop = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+    steps = draw(st.integers(1, 25))
+    return f"{start!r}:{stop!r}:{steps}", np.linspace(start, stop, steps)
+
+
+# v = 1e-13 reaches the two-fold top level at C = 0; at v = 2 no row is feasible
+@settings(max_examples=50)
+@given(
+    ca=_heatmap_grid(),
+    cb=_heatmap_grid(),
+    v=st.sampled_from([1e-13, 0.001, 0.3, 0.8, 2.0]),
+)
+@example(ca=("1.5:1.5:4", np.full(4, 1.5)), cb=("2:0:5", np.linspace(2, 0, 5)), v=0.001)
+def test_heatmap_matches_the_per_row_formatter(ca, cb, v):
+    (ca_spec, ca), (cb_spec, cb) = ca, cb
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["heatmap", f"--v={v!r}", f"--ca-grid={ca_spec}", f"--cb-grid={cb_spec}"])
+    assert code == 0
+    curve = twoqubit.min_er_vs_c_curve(v, (ca[:, None] * cb).ravel())
+    columns = [np.repeat(ca, len(cb)), np.tile(cb, len(ca)),
+               curve.lambda1, curve.e_r, curve.p_r, curve.feasible]
+    header = ["C_A", "C_B", "lambda1", "E_R", "P_R", "feasible"]
     assert out.getvalue() == _reference_csv(header, columns)
 
 

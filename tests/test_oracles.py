@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from bellres.bounds import (
+    RankSolution,
     max_value_given_probustness,
     min_lambda1_for_value,
     min_renyi2_for_value,
@@ -159,6 +160,18 @@ class TestSampleMaxExpectation:
         with pytest.raises(InfeasibleConstraint, match="count"):
             sample_max_expectation(chsh_op, SamplerConfig(1, count, "fixed-lambda1", 0.6))
 
+    # NaN passed `count < 1` and ran no chunk, returning -inf; the others
+    # reached numpy and raised its TypeError
+    @pytest.mark.parametrize("count", [float("nan"), 2.5, 1000.0, True, np.float64(3.0), "3"])
+    def test_count_not_an_integer_raises(self, chsh_op, count):
+        with pytest.raises(InfeasibleConstraint, match="count"):
+            sample_max_expectation(chsh_op, SamplerConfig(1, count, "fixed-lambda1", 0.6))
+
+    def test_numpy_integer_count_is_a_count(self, chsh_op):
+        cfg = SamplerConfig(1, 50, "fixed-lambda1", 0.6)
+        want = sample_max_expectation(chsh_op, cfg)
+        assert sample_max_expectation(chsh_op, SamplerConfig(1, np.int64(50), "fixed-lambda1", 0.6)) == want
+
     def test_non_finite_op_raises(self, chsh_op):
         op = chsh_op.copy()
         op[1, 2] = op[2, 1] = np.nan
@@ -223,6 +236,20 @@ class TestStationarity:
         mu = np.array([4.0, 2.0, 1.0, -1.0])
         sol = max_value_given_probustness(mu, 4 * 0.4 - 1, 4)
         assert stationarity_check(sol, mu) > 1e-3
+
+    @pytest.mark.parametrize(
+        "mu, weight",
+        [([np.nan, 1.0, 0.0, -2.0], None), ([3.0, 1.0, -np.inf, -2.0], None),
+         ([3.0, 1.0, 0.0, -2.0], np.nan)],
+        ids=["nan-level", "inf-level", "nan-weight"],
+    )
+    def test_non_finite_input_is_out_of_range(self, capfd, mu, weight):
+        sol = min_renyi2_for_value([3.0, 1.0, 0.0, -2.0], 1.8, 4)
+        if weight is not None:
+            sol = RankSolution(np.append(sol.lambdas[:-1], weight), sol.value, sol.resource)
+        with pytest.raises(OutOfRange):
+            stationarity_check(sol, mu)
+        assert capfd.readouterr().err == ""  # refused before LAPACK sees it
 
 
 class TestPurityOracle:
