@@ -34,14 +34,16 @@ def _frame(mu, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d levels mu and z = mu - mu1, exact where the offset dominates (Sterbenz's lemma).
 
     Every closed form works on z and tau = t - mu1, so an offset costs no digits.
-    OutOfRange unless mu is finite and descending (ties allowed).
+    mu may hold rows of levels along its last axis.  OutOfRange unless mu is
+    finite and descending (ties allowed).
     """
     mu = np.asarray(mu, dtype=float)
-    if len(mu) != d:
-        raise OutOfRange(f"expected {d} eigenvalues, got {len(mu)}")
-    if not (np.isfinite(mu).all() and (mu[:-1] >= mu[1:]).all()):
+    if mu.shape[-1:] != (d,):
+        got = mu.shape[-1] if mu.ndim else "a scalar"
+        raise OutOfRange(f"expected {d} eigenvalues, got {got}")
+    if not (np.isfinite(mu).all() and (mu[..., :-1] >= mu[..., 1:]).all()):
         raise OutOfRange(f"eigenvalues must be finite and descending, got {mu}")
-    return mu, mu - mu[0]
+    return mu, mu - mu[..., :1]
 
 
 def _clamp_target(mu: np.ndarray, target: float) -> float:
@@ -55,19 +57,25 @@ def _clamp_target(mu: np.ndarray, target: float) -> float:
 
 
 def _check_interior(mu: np.ndarray, target: float) -> float:
-    """tau = target - mu1: OutOfRange for a non-finite target, Infeasible unless
-    Tr(I)/d <= target < mu1, both ends up to _tol(mu).
-
-    Tr(I)/d - mu1 is the lower of mean(z) and a caller's mean(mu) - mu1: under
-    a large offset mean(mu) rounds either way by more than _tol(mu).
-    """
+    """tau = target - mu1: OutOfRange for a non-finite target, Infeasible unless _interior."""
     if not np.isfinite(target):
         raise OutOfRange(f"target must be finite, got {target}")
-    tau, tol = target - mu[0], _tol(mu)
-    floor = min(float(mu.mean()) - mu[0], float(np.mean(mu - mu[0])))
-    if not floor - tol <= tau < -tol:
+    tau = target - mu[0]
+    if not _interior(mu, tau):
         raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mu.mean()}, {mu[0]})")
     return float(tau)
+
+
+def _interior(mu: np.ndarray, tau):
+    """Whether Tr(I)/d <= t < mu1, both ends up to _tol(mu), at tau = t - mu1; row by
+    row for rows of levels mu.
+
+    Tr(I)/d - mu1 is the lower of mean(z) and mean(mu) - mu1: under a large
+    offset mean(mu) rounds either way by more than _tol(mu).
+    """
+    tol = _tol(mu)
+    floor = np.minimum(mu.mean(axis=-1) - mu[..., 0], (mu - mu[..., :1]).mean(axis=-1))
+    return (floor - tol <= tau) & (tau < -tol)
 
 
 def _top_space(z: np.ndarray) -> np.ndarray:
@@ -183,44 +191,112 @@ def min_renyi2_for_value(mu, target: float, d: int) -> RankSolution:
     return RankSolution(lam, target, float(np.log2(d * (lam**2).sum())))
 
 
+# halvings between two tests of whether every row's bracket has stopped shrinking
+_HALVINGS_PER_TEST = 8
+
+
+def _gibbs_b(z: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """b with <z>_b = sum z_k e^{b z_k} / sum e^{b z_k} = tau, for each row of z.
+
+    z holds rows of normalised levels (mu - mu1)/(mu1 - mu_d), so z1 = 0 >= z_k
+    >= -1, and tau their targets, below -1e-12 wherever above mean(z).  b is
+    0 where tau <= mean(z); else it is doubled from 1 until <z>_b >= tau and
+    bisected until the bracket stops shrinking in floating point, and the
+    upper end is returned.  The rows are bisected in lockstep: once a row's
+    bracket has stopped shrinking, a further halving leaves it as it is, so
+    each row ends on the bits it reaches alone, and the test for the end can
+    wait for several halvings.
+    """
+    tau = tau[:, None]
+
+    def below(b: np.ndarray) -> np.ndarray:
+        w = np.exp(b * z)  # z <= 0 with z1 = 0: no overflow
+        num, den = np.add.reduce(z * w, axis=1), np.add.reduce(w, axis=1)
+        return (num / den)[:, None] < tau
+
+    # b, lo, hi and mid are columns, one entry per row of z
+    lo = np.zeros_like(tau)
+    hi = (z.mean(axis=1, keepdims=True) < tau).astype(float)
+    # the doubling ends: tau < -1e-12, and <z>_b rises to 0
+    grow = below(hi)
+    while grow.any():
+        hi[grow] *= 2.0
+        grow = below(hi)
+    mid = 0.5 * hi
+    while ((lo < mid) & (mid < hi)).any():
+        for _ in range(_HALVINGS_PER_TEST):
+            low = below(mid)
+            np.copyto(lo, mid, where=low)
+            np.copyto(hi, mid, where=~low)
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+    return hi[:, 0]
+
+
+def _gibbs_frame(mu: np.ndarray, z: np.ndarray, target: float):
+    """(z, tau, spread): levels and target on the scale z = (mu - mu1)/(mu1 - mu_d),
+    row by row, and spread = mu1 - mu_d.
+
+    A row of equal levels keeps its scale, spread 1: _interior admits it
+    only at a target that rounds below mu1, which the maximally mixed state
+    reaches with b = 0.
+    """
+    spread = mu[..., 0] - mu[..., -1]
+    spread = np.where(spread > 0.0, spread, 1.0)
+    return z / spread[..., None], (target - mu[..., 0]) / spread, spread
+
+
 def min_relent_purity_for_value(op, target: float) -> tuple[float, float, DensityState]:
     """Minimal relative entropy of purity log d - S(rho) at Tr(rho I) = target.
 
     The entropy maximizer under a linear constraint is the Gibbs state
     rho(beta) = e^{beta I} / Tr e^{beta I}, beta >= 0.  The search runs on
     z = (mu - mu1)/(mu1 - mu_d) in [-1, 0] and tau alike, blind to the
-    operator's scale and offset: b = beta (mu1 - mu_d) is 0 for tau <= mean(z),
-    else doubled from 1 until <z>_b >= tau and bisected until the bracket
-    stops shrinking in floating point; beta = hi/(mu1 - mu_d).
+    operator's scale and offset: _gibbs_b finds b = beta (mu1 - mu_d), and
+    S_P is read off the assembled state.
     """
     spec = eig_hermitian(op)
     mu, z = _frame(spec.values, spec.dim)
     d = spec.dim
     _check_interior(mu, target)
-    spread = mu[0] - mu[-1]
-    z, tau = z / spread, (target - mu[0]) / spread
-
-    def expectation(b: float) -> float:
-        w = np.exp(b * z)  # z <= 0 with z1 = 0: no overflow
-        return float((z * w).sum() / w.sum())
-
-    lo = hi = 0.0
-    if z.mean() < tau:
-        # the doubling ends: _check_interior gives tau < -1e-12, and <z>_b rises to 0
-        hi = 1.0
-        while expectation(hi) < tau:
-            hi *= 2.0
-    mid = 0.5 * hi
-    while lo < mid < hi:
-        if expectation(mid) < tau:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    w = np.exp(hi * z)
+    z, tau, spread = _gibbs_frame(mu, z, target)
+    b = float(_gibbs_b(z[None], tau[None])[0])
+    w = np.exp(b * z)
     state = _assemble(spec.vectors, w / w.sum(), (d,))
     s_p = float(np.log(d) - state_functionals(state).entropy)
-    return s_p, float(hi / spread), state
+    return s_p, b / float(spread), state
+
+
+def _relent_purity_rows(mu, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """min_relent_purity_for_value's S_P and beta for each row of mu, rows of d
+    descending levels, at one target; both NaN where the row cannot reach it.
+
+    All rows share one _gibbs_b bisection.  S_P is taken from the Gibbs
+    weights, which are the spectrum of the state of the diagonal operator
+    diag(mu_k); for d <= 8, where numpy adds a row's terms in order, each
+    row's S_P and beta are those of min_relent_purity_for_value(np.diag(mu_k),
+    target) to the bit.  OutOfRange for a non-finite target or levels that
+    are not finite and descending.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 2:
+        raise OutOfRange(f"expected rows of levels, got shape {mu.shape}")
+    d = mu.shape[1]
+    mu, z = _frame(mu, d)
+    if not np.isfinite(target):
+        raise OutOfRange(f"target must be finite, got {target}")
+    reach = _interior(mu, target - mu[:, 0])
+    z, tau, spread = _gibbs_frame(mu[reach], z[reach], target)
+    b = _gibbs_b(z, tau)
+    w = np.exp(b[:, None] * z)
+    # descending and contiguous, as the state's spectrum is: numpy's log takes
+    # another path, with other bits, on a reversed view
+    lam = -np.sort(-w / w.sum(axis=1, keepdims=True), axis=1)
+    entropy = -(lam * np.log(np.where(lam > 0, lam, 1.0))).sum(axis=1)
+    s_p, beta = np.full((2, len(mu)), np.nan)
+    s_p[reach] = np.log(d) - np.maximum(entropy, 0.0)
+    beta[reach] = b / spread
+    return s_p, beta
 
 
 def construct_optimal_state(sol: RankSolution, basis: Spectrum, dims=None) -> DensityState:

@@ -29,49 +29,44 @@ I3322_REF_ER = 0.8291
 _BOOL_TEXT = ("false", "true")
 
 # most rows a table command prints; a larger grid is refused before it is built.
-# A million rows of distinct numbers take about 0.35 GB and 5 s to print
+# In a fresh interpreter on a 2-core x86 host, chsh-curve over a million
+# distinct C peaks at about 0.16 GB and takes 2-2.5 s; a 1000 x 1000 heatmap
+# about 0.33 GB and 1.7 s
 MAX_TABLE_ROWS = 10**6
 
+# rows formatted and written at a time, so a large table's text never exists all at once
+_ROWS_PER_WRITE = 1 << 16
 
-def _column_text(col: np.ndarray, end: str) -> np.ndarray:
-    """The CSV text of each entry of a column and then end, as the rows of a
-    uint8 array: ASCII bytes padded with NULs to the longest entry.
+
+def _row_texts(columns, end: str = "\n") -> list[str]:
+    """The CSV text of each row of the equal-length columns and then end, from
+    one % per row over its entries.
 
     Numbers print with 12 significant digits and non-finite ones as nan;
-    booleans print as true/false.  Each distinct number is formatted once:
-    distinct means distinct bits, so -0.0 prints -0 and 0.0 prints 0.
+    booleans print as true/false.
     """
-    if col.dtype == bool:
-        text, index = np.array([t + end for t in _BOOL_TEXT], dtype="S"), col.astype(np.intp)
-    else:
-        col = np.asarray(col, dtype=np.float64)
-        bits = np.where(np.isfinite(col), col, np.nan).view(np.int64)
-        distinct, index = np.unique(bits, return_inverse=True)
-        fmt = "%.12g" + end
-        text = np.array([fmt % x for x in distinct.view(np.float64).tolist()], dtype="S")
-    return text[index].view(np.uint8).reshape(len(col), text.itemsize)
+    fmt = ",".join("%s" if col.dtype == bool else "%.12g" for col in columns) + end
+    values = [
+        list(map(_BOOL_TEXT.__getitem__, col.tolist())) if col.dtype == bool
+        else np.where(np.isfinite(col), col, np.nan).tolist()
+        for col in columns
+    ]
+    return [fmt % row for row in zip(*values)]
 
 
-def _columns_text(columns) -> np.ndarray:
-    """The text of the equal-length columns side by side, each entry with its
-    comma, the last column's with the newline: the rows of a uint8 array."""
-    cols = [np.asarray(col).ravel() for col in columns]
-    ends = [","] * (len(cols) - 1) + ["\n"]
-    return np.concatenate([_column_text(col, end) for col, end in zip(cols, ends)], axis=1)
-
-
-def _write_rows(header: list[str], text: np.ndarray) -> None:
-    """Write the header and then the rows of text, a uint8 array of ASCII
-    rows, with the NUL padding dropped, which no formatted value contains."""
-    body = text.tobytes().replace(b"\0", b"").decode("ascii")
-    sys.stdout.write(",".join(header) + "\n")
-    sys.stdout.write(body)
+def _padded(texts: list[str]) -> np.ndarray:
+    """The ASCII texts as the rows of a uint8 array, padded with NULs to the longest."""
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
 def _emit_csv(header: list[str], columns) -> None:
-    """Write the header and one CSV row per entry of the equal-length columns;
-    every column is formatted before anything is written."""
-    _write_rows(header, _columns_text(columns))
+    """Write the header and one CSV row per entry of the equal-length columns,
+    _ROWS_PER_WRITE rows at a time."""
+    cols = [np.asarray(col).ravel() for col in columns]
+    sys.stdout.write(",".join(header) + "\n")
+    for start in range(0, len(cols[0]), _ROWS_PER_WRITE):
+        block = [col[start:start + _ROWS_PER_WRITE] for col in cols]
+        sys.stdout.write("".join(_row_texts(block)))
 
 
 def _curve_columns(curve: np.recarray) -> list[np.ndarray]:
@@ -250,17 +245,18 @@ def cmd_heatmap(args) -> int:
     the table's structure: C_A and C_B are formatted once per grid value and
     laid out by repeat and tile, and lambda1, E_R, P_R and feasible, which
     depend only on C = C_A * C_B, are computed and formatted once per
-    distinct C and gathered into the rows by the index of their C.
+    distinct C, as one row tail each, and gathered into the rows by the index
+    of their C.  The pieces are NUL-padded uint8 rows; the padding, which no
+    formatted value contains, is dropped before the write.
     """
     ca, cb = _parse_grids(args.ca_grid, args.cb_grid)
     c, row_c = np.unique(twoqubit._c_product(ca, cb), return_inverse=True)
-    tail = _columns_text(_curve_columns(twoqubit.min_er_vs_c_curve(args.v, c))[1:])
-    lead_a = np.repeat(_column_text(ca, ","), len(cb), axis=0)
-    lead_b = np.tile(_column_text(cb, ","), (len(ca), 1))
-    _write_rows(
-        ["C_A", "C_B", "lambda1", "E_R", "P_R", "feasible"],
-        np.concatenate([lead_a, lead_b, tail[row_c.ravel()]], axis=1),
-    )
+    tail = _padded(_row_texts(_curve_columns(twoqubit.min_er_vs_c_curve(args.v, c))[1:]))
+    lead_a = np.repeat(_padded(_row_texts([ca], ",")), len(cb), axis=0)
+    lead_b = np.tile(_padded(_row_texts([cb], ",")), (len(ca), 1))
+    text = np.concatenate([lead_a, lead_b, tail[row_c.ravel()]], axis=1)
+    sys.stdout.write("C_A,C_B,lambda1,E_R,P_R,feasible\n")
+    sys.stdout.write(text.tobytes().replace(b"\0", b"").decode("ascii"))
     return 0
 
 
@@ -275,19 +271,20 @@ def cmd_min_resources(args) -> int:
 
 
 def cmd_relent_compare(args) -> int:
+    """log2(1 + P_R), the Renyi-2 purity and the relative entropy of purity
+    S_P per C, with nan and false where the Gibbs state cannot reach the
+    target, that is at and above mu1.  S_P comes from one bisection over all
+    the grid's spectra; the Renyi-2 purity from min_renyi2_for_value per
+    feasible row."""
     (c,) = _parse_grids(args.c_grid)
     curve = twoqubit.min_er_vs_c_curve(args.v, c)
     mu = twoqubit.chsh_eigenvalues(c)
     target = 2.0 + args.v
-    p2 = np.full(len(c), np.nan)
-    s_p = np.full(len(c), np.nan)
-    for k in range(len(c)):
-        try:  # the Gibbs state reaches the target only strictly below mu1
-            s_p[k], _, _ = bounds.min_relent_purity_for_value(np.diag(mu[k]), target)
-        except Infeasible:
-            continue
-        p2[k] = bounds.min_renyi2_for_value(mu[k], target, 4).resource
+    s_p, _ = bounds._relent_purity_rows(mu, target)
     feasible = np.isfinite(s_p)
+    p2 = np.full(len(c), np.nan)
+    for k in np.flatnonzero(feasible):
+        p2[k] = bounds.min_renyi2_for_value(mu[k], target, 4).resource
     log_rob = np.where(feasible, np.log2(1.0 + curve.p_r), np.nan)
     _emit_csv(
         ["C", "log_robustness", "renyi2_purity", "relent_purity", "feasible"],

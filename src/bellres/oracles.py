@@ -65,7 +65,21 @@ def _spectra_fixed_lambda1(rng: np.random.Generator, n: int, d: int, lam1: float
     return out
 
 
+def _check_count(count) -> None:
+    """InfeasibleConstraint unless count is an integer (Python or numpy, not
+    bool) of at least 1."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise InfeasibleConstraint(f"count must be an integer of at least 1, got {count!r}")
+
+
 def sample_spectra(cfg: SamplerConfig, d: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """cfg.count spectra of dimension d, one per row, under cfg's constraint.
+
+    Raises InfeasibleConstraint for a count that is not an integer (Python
+    or numpy, not bool) of at least 1, an unknown constraint, or a lambda1
+    outside [1/d, 1].
+    """
+    _check_count(cfg.count)
     rng = rng or default_rng(cfg.seed)
     if cfg.constraint == "none":
         return rng.dirichlet(np.ones(d), size=cfg.count)
@@ -111,16 +125,14 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
     entry, and InfeasibleConstraint for a count that is not an integer
     (Python or numpy, not bool) of at least 1.
     """
-    count = cfg.count
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise InfeasibleConstraint(f"count must be an integer of at least 1, got {count!r}")
+    _check_count(cfg.count)
     mu, vecs = np.linalg.eigh(check_hermitian(op))
     d = len(mu)
     vh = vecs.conj().T
     trace = float(mu.sum())
     rng = default_rng(cfg.seed)
     best = -np.inf
-    remaining = count
+    remaining = cfg.count
     while remaining > 0:
         n = min(20000, remaining)  # chunks bound the memory of the batched unitaries
         sub = SamplerConfig(cfg.seed, n, cfg.constraint, cfg.value)

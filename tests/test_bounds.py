@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bellres import bell
 from bellres.bounds import (
+    _relent_purity_rows,
     construct_optimal_state,
     max_value_given_probustness,
     max_value_given_renyi2,
@@ -410,6 +411,83 @@ def _relent(mu: np.ndarray, target: float):
         return min_relent_purity_for_value(np.diag(mu), target)[:2]
     except Infeasible:
         return None
+
+
+@st.composite
+def _spectrum_rows(draw):
+    """Rows of d = 2-16 descending levels, each random, with a two-fold or
+    nearly two-fold top level, or flat, and one target for all of them: a
+    fraction from _FRACS of the way from the first row's mean to its mu1, or
+    just above its mean."""
+    d, n = draw(st.integers(2, 16)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = np.sort(rng.normal(size=(n, d)) * 3, axis=1)[:, ::-1].copy()
+    kinds = st.sampled_from(["random", "degenerate", "near-degenerate", "flat"])
+    for row, kind in zip(mu, draw(st.lists(kinds, min_size=n, max_size=n))):
+        if kind == "degenerate":
+            row[1] = row[0]
+        elif kind == "near-degenerate":
+            row[1] = row[0] - 1e-7 * abs(row[0])
+        elif kind == "flat":
+            row[:] = row[0]
+    frac = draw(st.one_of(_FRACS, st.sampled_from([1e-15, 1e-12, 1e-6])))
+    return mu, _target(mu[0], frac)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestRelentForSpectra:
+    @settings(max_examples=200)
+    @given(_spectrum_rows())
+    def test_batch_rows_equal_one_row_calls(self, rows):
+        # every row in one lockstep bisection ends on the bits it reaches alone
+        mu, target = rows
+        s_p, beta = _relent_purity_rows(mu, target)
+        for k in range(len(mu)):
+            one = _relent_purity_rows(mu[k : k + 1], target)
+            assert _bits(one[0]) == _bits(s_p[k]) and _bits(one[1]) == _bits(beta[k])
+            if mu.shape[1] > 8:
+                continue
+            # the Gibbs weights are the spectrum of the state of diag(mu_k); numpy
+            # sums d <= 8 terms in order, so S_P is the single-operator call's too
+            try:
+                want = min_relent_purity_for_value(np.diag(mu[k]), target)[:2]
+            except Infeasible:
+                want = (np.nan, np.nan)
+            assert _bits(s_p[k]) == _bits(want[0]) and _bits(beta[k]) == _bits(want[1])
+
+    def test_flat_spectrum_at_its_rounded_mean_is_maximally_mixed(self):
+        # the mean of seven levels 5.55 rounds below them, so the target is admitted;
+        # the normalisation by mu1 - mu_d = 0 used to divide by zero
+        mu = np.full(7, 5.55)
+        assert mu.mean() < mu[0]
+        s_p, beta, state = min_relent_purity_for_value(np.diag(mu), mu.mean())
+        assert beta == 0.0 and s_p == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(state.matrix, np.eye(7) / 7, atol=1e-15)
+        rows = _relent_purity_rows(mu[None], mu.mean())
+        assert rows[1][0] == 0.0 and rows[0][0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_unreachable_rows_are_nan(self):
+        mu = np.array([MU4, MU4 - 3.0, [1.0, 1.0, 1.0, 1.0]])
+        s_p, beta = _relent_purity_rows(mu, 2.0)
+        assert np.isfinite(s_p[0]) and np.isfinite(beta[0])
+        assert np.isnan(s_p[1:]).all() and np.isnan(beta[1:]).all()
+
+    @pytest.mark.parametrize(
+        "mu, target, match",
+        [
+            (MU4, 1.0, "rows of levels"),
+            (np.array([[1.0, np.nan, 0.0]]), 0.0, "finite and descending"),
+            (np.array([[0.0, 1.0, 2.0]]), 1.0, "finite and descending"),
+            (np.array([MU4]), np.nan, "target must be finite"),
+        ],
+        ids=["one-row-as-1d", "nan-level", "ascending", "nan-target"],
+    )
+    def test_bad_input_is_out_of_range(self, mu, target, match):
+        with pytest.raises(OutOfRange, match=match):
+            _relent_purity_rows(mu, target)
 
 
 class TestScaleRules:

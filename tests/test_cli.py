@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellres import barrier, cli, twoqubit
+from bellres import barrier, bounds, cli, twoqubit
 from bellres.errors import Infeasible, SolverFailure
 from bellres.linalg import _tol
 
@@ -417,17 +417,17 @@ class TestCurveCommands:
         # distinct C_A * C_B; the one np.unique over all rows is of that product
         rows = 401 * 401
         formatted, deduplicated = [], []
-        column_text, unique = cli._column_text, np.unique
+        row_texts, unique = cli._row_texts, np.unique
 
-        def spy_column_text(col, end):
-            formatted.append(len(col))
-            return column_text(col, end)
+        def spy_row_texts(columns, *args):
+            formatted.append(len(columns[0]))
+            return row_texts(columns, *args)
 
         def spy_unique(ar, *args, **kwargs):
             deduplicated.append(np.size(ar))
             return unique(ar, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_column_text", spy_column_text)
+        monkeypatch.setattr(cli, "_row_texts", spy_row_texts)
         monkeypatch.setattr(np, "unique", spy_unique)
         argv = ["heatmap", "--v", "0.001", "--ca-grid", "0:2:401", "--cb-grid", "0:2:401"]
         code, out, _ = run(capsys, argv)
@@ -636,6 +636,17 @@ def test_emit_csv_matches_the_per_row_formatter(table):
     assert out.getvalue() == _reference_csv(header, columns)
 
 
+def test_emit_csv_writes_in_blocks_of_rows(monkeypatch):
+    # blocks of 7 rows: a full block, a short last one, and one row alone
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)
+    for rows in (14, 17, 1):
+        columns = [np.linspace(-1.0, 1.0, rows), np.arange(rows) % 3 == 0]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_csv(["x", "ok"], columns)
+        assert out.getvalue() == _reference_csv(["x", "ok"], columns)
+
+
 @st.composite
 def _heatmap_grid(draw):
     """A heatmap grid spec and its points: 1-25 steps between ends in [0, 2]."""
@@ -663,6 +674,47 @@ def test_heatmap_matches_the_per_row_formatter(ca, cb, v):
                curve.lambda1, curve.e_r, curve.p_r, curve.feasible]
     header = ["C_A", "C_B", "lambda1", "E_R", "P_R", "feasible"]
     assert out.getvalue() == _reference_csv(header, columns)
+
+
+@st.composite
+def _relent_grid(draw):
+    """A relent-compare grid spec and its points: 1-60 steps between ends in [0, 4],
+    with 0 and 4, where a level is two-fold, drawn often."""
+    ends = st.one_of(st.sampled_from([0.0, 4.0]), st.floats(0.0, 4.0))
+    start, stop = draw(ends), draw(ends)
+    steps = draw(st.integers(1, 60))
+    return f"{start!r}:{stop!r}:{steps}", np.linspace(start, stop, steps)
+
+
+def _relent_reference(v, c):
+    """relent-compare's columns from one library call per row: nan and false where
+    min_relent_purity_for_value raises Infeasible."""
+    curve, mu, target = twoqubit.min_er_vs_c_curve(v, c), twoqubit.chsh_eigenvalues(c), 2.0 + v
+    log_rob, p2, s_p = np.full((3, len(c)), np.nan)
+    for k in range(len(c)):
+        try:
+            s_p[k] = bounds.min_relent_purity_for_value(np.diag(mu[k]), target)[0]
+        except Infeasible:
+            continue
+        p2[k] = bounds.min_renyi2_for_value(mu[k], target, 4).resource
+        log_rob[k] = np.log2(1.0 + curve.p_r[k])
+    return [c, log_rob, p2, s_p, np.isfinite(s_p)]
+
+
+# at v = 1e-13 C = 0 reaches its two-fold top level; at v = 2 no row is feasible
+@settings(max_examples=50)
+@given(grid=_relent_grid(), v=st.sampled_from([1e-13, 0.001, 0.2, 0.8, 2.0]))
+@example(grid=("0:4:101", np.linspace(0.0, 4.0, 101)), v=0.2)
+@example(grid=("4:0:9", np.linspace(4.0, 0.0, 9)), v=1e-13)
+@example(grid=("4:4:1", np.array([4.0])), v=0.001)
+def test_relent_compare_matches_the_per_row_reference(grid, v):
+    spec, c = grid
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["relent-compare", f"--v={v!r}", f"--c-grid={spec}"])
+    assert code == 0
+    header = ["C", "log_robustness", "renyi2_purity", "relent_purity", "feasible"]
+    assert out.getvalue() == _reference_csv(header, _relent_reference(v, c))
 
 
 class TestBoundGolden:

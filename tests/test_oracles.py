@@ -117,6 +117,22 @@ class TestSamplers:
             sample_spectra(SamplerConfig(1, 5, "bogus", 0.5), 4)
 
 
+# both samplers, sample_spectra under each constraint; sample_max_expectation's
+# cases keep the bare count as their id
+_SAMPLERS = [
+    ("", lambda op, n: sample_max_expectation(op, SamplerConfig(1, n, "fixed-lambda1", 0.6))),
+    ("sample_spectra-none-", lambda op, n: sample_spectra(SamplerConfig(1, n, "none"), 4)),
+    ("sample_spectra-fixed-lambda1-",
+     lambda op, n: sample_spectra(SamplerConfig(1, n, "fixed-lambda1", 0.6), 4)),
+]
+
+
+def _count_cases(*counts):
+    return [
+        pytest.param(sample, n, id=f"{prefix}{n}") for prefix, sample in _SAMPLERS for n in counts
+    ]
+
+
 def _full_qr_max(op, cfg):
     """The sampler's direct formula: full QR and u_j^dag I u_j for every column, on its stream."""
     op = np.asarray(op, dtype=complex)
@@ -155,17 +171,20 @@ class TestSampleMaxExpectation:
         want = _full_qr_max(op, cfg)
         assert abs(sample_max_expectation(op, cfg) - want) <= 1e-13 * (1.0 + abs(want))
 
-    @pytest.mark.parametrize("count", [0, -5])
-    def test_count_below_one_raises(self, chsh_op, count):
+    @pytest.mark.parametrize("sample, count", _count_cases(0, -5))
+    def test_count_below_one_raises(self, chsh_op, sample, count):
         with pytest.raises(InfeasibleConstraint, match="count"):
-            sample_max_expectation(chsh_op, SamplerConfig(1, count, "fixed-lambda1", 0.6))
+            sample(chsh_op, count)
 
     # NaN passed `count < 1` and ran no chunk, returning -inf; the others
-    # reached numpy and raised its TypeError
-    @pytest.mark.parametrize("count", [float("nan"), 2.5, 1000.0, True, np.float64(3.0), "3"])
-    def test_count_not_an_integer_raises(self, chsh_op, count):
+    # reached numpy and raised its TypeError.  In sample_spectra, 0 gave an
+    # empty array, -5 numpy's ValueError, and True one sample under "none"
+    @pytest.mark.parametrize(
+        "sample, count", _count_cases(float("nan"), 2.5, 1000.0, True, np.float64(3.0), "3")
+    )
+    def test_count_not_an_integer_raises(self, chsh_op, sample, count):
         with pytest.raises(InfeasibleConstraint, match="count"):
-            sample_max_expectation(chsh_op, SamplerConfig(1, count, "fixed-lambda1", 0.6))
+            sample(chsh_op, count)
 
     def test_numpy_integer_count_is_a_count(self, chsh_op):
         cfg = SamplerConfig(1, 50, "fixed-lambda1", 0.6)
