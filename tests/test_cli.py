@@ -414,7 +414,8 @@ class TestCurveCommands:
 
     def test_heatmap_formats_no_full_column(self, capsys, monkeypatch):
         # C_A and C_B are formatted per grid value and the other columns per
-        # distinct C_A * C_B; the one np.unique over all rows is of that product
+        # distinct C_A * C_B, so all formatting calls together cover fewer rows
+        # than the table; the one np.unique over all rows is of that product
         rows = 401 * 401
         formatted, deduplicated = [], []
         row_texts, unique = cli._row_texts, np.unique
@@ -432,7 +433,7 @@ class TestCurveCommands:
         argv = ["heatmap", "--v", "0.001", "--ca-grid", "0:2:401", "--cb-grid", "0:2:401"]
         code, out, _ = run(capsys, argv)
         assert code == 0 and out.count("\n") == rows + 1
-        assert formatted and max(formatted) < rows
+        assert formatted and sum(formatted) < rows
         assert deduplicated.count(rows) == 1
 
     def test_closed_stdout_exits_0_quietly(self):
