@@ -71,7 +71,7 @@ class BellScenario:
 def observable_from_bloch(a) -> np.ndarray:
     """Traceless qubit observable a . sigma with eigenvalues +/-1."""
     v = np.asarray(a, dtype=float)
-    if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN fails <=
+    if v.shape != (3,) or not abs(math.hypot(*v) - 1.0) <= 1e-12:  # hypot: no overflow; NaN fails
         raise NotUnit(f"not a unit 3-vector: {a}")
     return sum(v[i] * PAULIS[i] for i in range(3))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, Infeasible, OutOfRange
-from .linalg import DensityState, Spectrum, _tol, density_state, eig_hermitian, state_functionals
+from .linalg import DensityState, Spectrum, _tol, density_state, eig_hermitian
 
 _NEG_TOL = 1e-12
 
@@ -233,50 +233,32 @@ def _gibbs_b(z: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return hi[:, 0]
 
 
-def _gibbs_frame(mu: np.ndarray, z: np.ndarray, target: float):
-    """(z, tau, spread): levels and target on the scale z = (mu - mu1)/(mu1 - mu_d),
-    row by row, and spread = mu1 - mu_d.
-
-    A row of equal levels keeps its scale, spread 1: _interior admits it
-    only at a target that rounds below mu1, which the maximally mixed state
-    reaches with b = 0.
-    """
-    spread = mu[..., 0] - mu[..., -1]
-    spread = np.where(spread > 0.0, spread, 1.0)
-    return z / spread[..., None], (target - mu[..., 0]) / spread, spread
-
-
 def min_relent_purity_for_value(op, target: float) -> tuple[float, float, DensityState]:
     """Minimal relative entropy of purity log d - S(rho) at Tr(rho I) = target.
 
     The entropy maximizer under a linear constraint is the Gibbs state
-    rho(beta) = e^{beta I} / Tr e^{beta I}, beta >= 0.  The search runs on
-    z = (mu - mu1)/(mu1 - mu_d) in [-1, 0] and tau alike, blind to the
-    operator's scale and offset: _gibbs_b finds b = beta (mu1 - mu_d), and
-    S_P is read off the assembled state.
+    rho(beta) = e^{beta I} / Tr e^{beta I}, beta >= 0.  Its S_P, beta and
+    weights are _relent_purity_rows' on the operator's spectrum as one row,
+    and the state is assembled from the weights on the eigenvectors.
+    OutOfRange for a non-finite target, Infeasible outside [Tr(I)/d, mu1).
     """
     spec = eig_hermitian(op)
-    mu, z = _frame(spec.values, spec.dim)
-    d = spec.dim
-    _check_interior(mu, target)
-    z, tau, spread = _gibbs_frame(mu, z, target)
-    b = float(_gibbs_b(z[None], tau[None])[0])
-    w = np.exp(b * z)
-    state = _assemble(spec.vectors, w / w.sum(), (d,))
-    s_p = float(np.log(d) - state_functionals(state).entropy)
-    return s_p, b / float(spread), state
+    _check_interior(spec.values, target)
+    s_p, beta, weights = _relent_purity_rows(spec.values[None], target)
+    return float(s_p[0]), float(beta[0]), _assemble(spec.vectors, weights[0], (spec.dim,))
 
 
-def _relent_purity_rows(mu, target: float) -> tuple[np.ndarray, np.ndarray]:
-    """min_relent_purity_for_value's S_P and beta for each row of mu, rows of d
-    descending levels, at one target; both NaN where the row cannot reach it.
+def _relent_purity_rows(mu, target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_P, beta and the normalised Gibbs weights of the least pure state at
+    the target, for each row of mu, rows of d descending levels; NaN where the
+    row cannot reach the target.
 
-    All rows share one _gibbs_b bisection.  S_P is taken from the Gibbs
-    weights, which are the spectrum of the state of the diagonal operator
-    diag(mu_k); for d <= 8, where numpy adds a row's terms in order, each
-    row's S_P and beta are those of min_relent_purity_for_value(np.diag(mu_k),
-    target) to the bit.  OutOfRange for a non-finite target or levels that
-    are not finite and descending.
+    All rows share one _gibbs_b bisection on z = (mu - mu1)/(mu1 - mu_d) in
+    [-1, 0] and tau alike, blind to scale and offset, for b = beta (mu1 - mu_d).
+    A row of equal levels keeps its scale: _interior admits it only at a
+    target that rounds below mu1, which b = 0 reaches.  S_P is read off the
+    weights, the state's spectrum.  OutOfRange for a non-finite target or
+    levels that are not finite and descending.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2:
@@ -286,17 +268,19 @@ def _relent_purity_rows(mu, target: float) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(target):
         raise OutOfRange(f"target must be finite, got {target}")
     reach = _interior(mu, target - mu[:, 0])
-    z, tau, spread = _gibbs_frame(mu[reach], z[reach], target)
-    b = _gibbs_b(z, tau)
+    mu, z = mu[reach], z[reach]
+    spread = np.where(mu[:, 0] > mu[:, -1], mu[:, 0] - mu[:, -1], 1.0)
+    z = z / spread[:, None]
+    b = _gibbs_b(z, (target - mu[:, 0]) / spread)
     w = np.exp(b[:, None] * z)
-    # descending and contiguous, as the state's spectrum is: numpy's log takes
-    # another path, with other bits, on a reversed view
-    lam = -np.sort(-w / w.sum(axis=1, keepdims=True), axis=1)
+    lam = w / w.sum(axis=1, keepdims=True)
     entropy = -(lam * np.log(np.where(lam > 0, lam, 1.0))).sum(axis=1)
-    s_p, beta = np.full((2, len(mu)), np.nan)
+    s_p, beta = np.full((2, len(reach)), np.nan)
     s_p[reach] = np.log(d) - np.maximum(entropy, 0.0)
     beta[reach] = b / spread
-    return s_p, beta
+    weights = np.full((len(reach), d), np.nan)
+    weights[reach] = lam
+    return s_p, beta, weights
 
 
 def construct_optimal_state(sol: RankSolution, basis: Spectrum, dims=None) -> DensityState:

@@ -98,7 +98,11 @@ def _parse_grids(*specs: str) -> list[np.ndarray]:
             f"grid {' x '.join(map(repr, specs))} has {rows} rows, "
             f"more than the {MAX_TABLE_ROWS} a table may have"
         )
-    return [np.linspace(*e, n) for e, n in zip(ends, counts)]
+    with np.errstate(over="ignore", invalid="ignore"):  # ends near the float limit
+        grids = [np.linspace(*e, n) for e, n in zip(ends, counts)]
+    if not all(np.isfinite(grid).all() for grid in grids):
+        raise ValueError(f"grid {' x '.join(map(repr, specs))} has points beyond float range")
+    return grids
 
 
 def _array(value, what: str) -> np.ndarray:
@@ -113,7 +117,8 @@ def _parse_matrix(flat, dim: int, where: str) -> np.ndarray:
     arr = _array(flat, where)
     if arr.shape != (dim * dim, 2):
         raise ValueError(f"{where}: expected {dim * dim} [re, im] pairs, got shape {arr.shape}")
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(dim, dim)
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, refused as non-finite later
+        return (arr[:, 0] + 1j * arr[:, 1]).reshape(dim, dim)
 
 
 def _number(value, what: str, *, integer: bool = False):
@@ -280,7 +285,7 @@ def cmd_relent_compare(args) -> int:
     curve = twoqubit.min_er_vs_c_curve(args.v, c)
     mu = twoqubit.chsh_eigenvalues(c)
     target = 2.0 + args.v
-    s_p, _ = bounds._relent_purity_rows(mu, target)
+    s_p, _, _ = bounds._relent_purity_rows(mu, target)
     feasible = np.isfinite(s_p)
     p2 = np.full(len(c), np.nan)
     for k in np.flatnonzero(feasible):

@@ -9,7 +9,6 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -143,26 +142,3 @@ def partial_transpose(rho, subsystem: int):
     else:
         t = t.transpose(0, 3, 2, 1)
     return t.reshape(da * db, da * db)
-
-
-class StateFunctionals(NamedTuple):
-    linear_purity: float
-    renyi2_purity: float
-    entropy: float
-    lambda1: float
-
-
-def state_functionals(rho: DensityState) -> StateFunctionals:
-    """Linear purity, Renyi-2 purity (bits), von Neumann entropy (nats), lambda1."""
-    m = rho.matrix
-    lam = np.linalg.eigvalsh(m)[::-1]
-    purity = float(np.sum(lam**2))
-    d = len(lam)
-    pos = lam[lam > 0]
-    entropy = float(-np.sum(pos * np.log(pos)))
-    return StateFunctionals(
-        linear_purity=purity,
-        renyi2_purity=float(np.log2(d * purity)),
-        entropy=max(entropy, 0.0),
-        lambda1=float(lam[0]),
-    )

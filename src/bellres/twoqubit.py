@@ -16,12 +16,12 @@ import numpy as np
 from . import barrier
 from .barrier import ConeConstraint, hermitian_basis, hermitian_from_params, params_from_hermitian
 from .bounds import _check_interior, construct_optimal_state, min_lambda1_for_value
-from .errors import NotBellDiagonal, OutOfRange, SolverFailure
+from .errors import DimMismatch, NotBellDiagonal, OutOfRange, SolverFailure
 from .linalg import (
     DensityState,
     Spectrum,
     _tol,
-    check_hermitian,
+    as_matrix,
     density_state,
     eig_hermitian,
     partial_transpose,
@@ -193,7 +193,7 @@ def _rank2_curve(x, mu: np.ndarray, local: float, v) -> np.recarray:
     """
     target = local + _violation(v)
     tau, z2, tol = target - mu[..., 0], mu[..., 1] - mu[..., 0], _tol(mu)
-    with np.errstate(divide="ignore", invalid="ignore"):  # z2 = 0 only where tau >= 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only where tau >= 0
         step = np.maximum((tau - z2) / -z2, 0.5)
     feasible = tau <= tol
     lam1 = np.where(tau < -tol, step, np.where(feasible, 1.0 / (1.0 + (z2 >= -tol)), np.nan))
@@ -247,13 +247,27 @@ _H4_PT = np.array([partial_transpose(m, 1) for m in _H4])
 _TRACE_H4 = np.einsum("kii->k", _H4).real
 
 
-def er_ppt_solver(rho: DensityState) -> float:
+def _state(rho, dims=None) -> DensityState:
+    """rho if a DensityState, else density_state(rho, dims or (d,))."""
+    return rho if isinstance(rho, DensityState) else density_state(rho, dims or np.shape(rho)[:1])
+
+
+def _two_qubit(a) -> np.ndarray:
+    """a as a complex matrix, or DimMismatch unless it is 4x4."""
+    m = as_matrix(a)
+    if m.shape != (4, 4):
+        raise DimMismatch(f"expected a 4x4 two-qubit matrix, got shape {m.shape}")
+    return m
+
+
+def er_ppt_solver(rho) -> float:
     """Generalized robustness of entanglement of a two-qubit state via PPT.
 
     Solves min Tr(sigma) s.t. sigma >= 0 and (rho + sigma)^{T_B} >= 0 with the
-    primal-dual SDP solver; for 2x2 systems PPT is exact separability.
+    primal-dual SDP solver; for 2x2 systems PPT is exact separability.  An
+    array is checked as a state by density_state with dims (2, 2).
     """
-    m = rho.matrix if isinstance(rho, DensityState) else check_hermitian(rho)
+    m = _two_qubit(_state(rho, (2, 2)).matrix)
     cones = [
         ConeConstraint(a0=np.zeros((4, 4), dtype=complex), basis=_H4),
         ConeConstraint(a0=partial_transpose(m, 1), basis=_H4_PT),
@@ -301,7 +315,7 @@ def er_min_for_value(op, target: float) -> tuple[float, DensityState]:
     sigma_cones = [(np.zeros_like(_H4), _H4), (_H4_PT, _H4_PT)]
     sigma0 = params_from_hermitian(np.eye(4, dtype=complex), _H4)
     info = _bell_value_program(
-        np.asarray(op, dtype=complex), target, sigma_cones, _TRACE_H4, lambda rho0: sigma0, 1e-9
+        _two_qubit(op), target, sigma_cones, _TRACE_H4, lambda rho0: sigma0, 1e-9
     )
     rho = hermitian_from_params(info.x[: len(_H4)], _H4)
     return max(0.0, info.value), density_state(rho, (2, 2), tol=1e-7)
@@ -380,9 +394,10 @@ def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9, gradient: b
     Equivalent program: min Tr(D) - 1 over D diagonal in the basis with
     D >= rho.  With gradient=True returns (value, G), where G = 2 rho U Z
     gives the change of the value with the basis U as Re tr(G^dag dU): only
-    the cone's a0 = -U^dag rho U depends on U, and Z is its dual.
+    the cone's a0 = -U^dag rho U depends on U, and Z is its dual.  An array
+    is checked as a state by density_state with dims (d,).
     """
-    m = rho.matrix if isinstance(rho, DensityState) else check_hermitian(rho)
+    m = _state(rho).matrix
     d = m.shape[0]
     u, rot = _rotate(m, basis)
     cones = [ConeConstraint(a0=-rot, basis=_diag_basis(d))]
@@ -402,7 +417,7 @@ def cr_min_for_value(
     Tr(rho U^dag I U) = target depends on U, nu is its multiplier and rho the
     optimal state in the basis.
     """
-    op = np.asarray(op, dtype=complex)
+    op = _two_qubit(op)
     u, rot = _rotate(op, basis)
     info = _bell_value_program(
         rot, target, [(-_H4, _diag_basis(4))], np.ones(4),
@@ -449,7 +464,7 @@ def cr_min_over_product_bases(
     if joint:
         program = functools.partial(cr_min_for_value, target_op, target)
     else:
-        program = functools.partial(cr_fixed_basis, rho)
+        program = functools.partial(cr_fixed_basis, _state(rho))
 
     def objective(x):
         u, du = _product_basis(x)

@@ -1,5 +1,7 @@
 """Tests for the closed-form minimal-purity / maximal-value solvers."""
 
+import itertools
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +20,8 @@ from bellres.bounds import (
     min_renyi2_for_value,
 )
 from bellres.errors import DimMismatch, Infeasible, OutOfRange
-from bellres.linalg import _tol, eig_hermitian, state_functionals
-from bellres.oracles import default_rng, min_purity_nelder_mead
+from bellres.linalg import _tol, eig_hermitian
+from bellres.oracles import _exact_purity_on_support, default_rng, min_purity_nelder_mead
 
 RT2 = np.sqrt(2.0)
 TSIRELSON = 2 * RT2
@@ -331,6 +333,26 @@ class TestMinRelentPurity:
         comm = state.matrix @ chsh_op - chsh_op @ state.matrix
         assert np.abs(comm).max() <= 1e-9
 
+    @pytest.mark.parametrize("builtin", ["chsh-c4", "i3322", "steering-f2"])
+    def test_builtins_within_2_ulp_of_50_digits(self, builtin):
+        # the bound command's relent points; the reference is the Gibbs S_P at the
+        # returned beta on the same float levels, summed in 50-digit decimals
+        if builtin == "steering-f2":
+            op, local = bell.steering_f2_scenario()
+            target = local + 0.3
+        else:
+            scenario = bell.chsh_scenario() if builtin == "chsh-c4" else bell.i3322_fixture()
+            op = bell.build_bell_operator(scenario)
+            target = bell.local_bound(scenario) + 0.2 if builtin == "chsh-c4" else 4.001
+        s_p, beta, _ = min_relent_purity_for_value(op, target)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            mu = [Decimal(float(x)) for x in eig_hermitian(op).values]
+            w = [(Decimal(beta) * (x - mu[0])).exp() for x in mu]
+            lam = [x / sum(w) for x in w]
+            want = Decimal(len(mu)).ln() + sum(x * x.ln() for x in lam)
+        assert abs(Decimal(s_p) - want) <= 2 * Decimal(np.spacing(float(want)))
+
     def test_infeasible_at_top(self, chsh_op):
         with pytest.raises(Infeasible):
             min_relent_purity_for_value(chsh_op, TSIRELSON)
@@ -444,14 +466,13 @@ class TestRelentForSpectra:
     def test_batch_rows_equal_one_row_calls(self, rows):
         # every row in one lockstep bisection ends on the bits it reaches alone
         mu, target = rows
-        s_p, beta = _relent_purity_rows(mu, target)
+        s_p, beta, weights = _relent_purity_rows(mu, target)
         for k in range(len(mu)):
             one = _relent_purity_rows(mu[k : k + 1], target)
             assert _bits(one[0]) == _bits(s_p[k]) and _bits(one[1]) == _bits(beta[k])
-            if mu.shape[1] > 8:
-                continue
-            # the Gibbs weights are the spectrum of the state of diag(mu_k); numpy
-            # sums d <= 8 terms in order, so S_P is the single-operator call's too
+            assert np.array_equal(_bits(one[2][0]), _bits(weights[k]))
+            # the single-operator call is a one-row call on the spectrum of diag(mu_k),
+            # which eig_hermitian returns exactly
             try:
                 want = min_relent_purity_for_value(np.diag(mu[k]), target)[:2]
             except Infeasible:
@@ -468,12 +489,13 @@ class TestRelentForSpectra:
         assert np.allclose(state.matrix, np.eye(7) / 7, atol=1e-15)
         rows = _relent_purity_rows(mu[None], mu.mean())
         assert rows[1][0] == 0.0 and rows[0][0] == pytest.approx(0.0, abs=1e-15)
+        assert np.array_equal(rows[2][0], np.full(7, 1.0 / 7))
 
     def test_unreachable_rows_are_nan(self):
         mu = np.array([MU4, MU4 - 3.0, [1.0, 1.0, 1.0, 1.0]])
-        s_p, beta = _relent_purity_rows(mu, 2.0)
-        assert np.isfinite(s_p[0]) and np.isfinite(beta[0])
-        assert np.isnan(s_p[1:]).all() and np.isnan(beta[1:]).all()
+        s_p, beta, weights = _relent_purity_rows(mu, 2.0)
+        assert np.isfinite(s_p[0]) and np.isfinite(beta[0]) and np.isfinite(weights[0]).all()
+        assert np.isnan(s_p[1:]).all() and np.isnan(beta[1:]).all() and np.isnan(weights[1:]).all()
 
     @pytest.mark.parametrize(
         "mu, target, match",
@@ -488,6 +510,64 @@ class TestRelentForSpectra:
     def test_bad_input_is_out_of_range(self, mu, target, match):
         with pytest.raises(OutOfRange, match=match):
             _relent_purity_rows(mu, target)
+
+
+@st.composite
+def _oracle_spectra(draw):
+    """d = 2-10 descending levels, random, with a two-fold top or with a two-fold
+    pair below it, and a target 2-98% of the way from Tr(I)/d to mu1."""
+    d = draw(st.integers(2, 10))
+    mu = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=d) * 3)[::-1]
+    kind = draw(st.sampled_from(["random", "degenerate top", "degenerate pair"]))
+    if kind == "degenerate top":
+        assume(d > 2)  # two equal levels leave no target below mu1
+        mu[1] = mu[0]
+    elif kind == "degenerate pair" and d > 2:
+        k = draw(st.integers(1, d - 2))
+        mu[k + 1] = mu[k]
+    return mu, _target(mu, draw(st.floats(0.02, 0.98)))
+
+
+class TestExactOracles:
+    """The spectrum bounds against exact programs that make no use of the rank ansatz."""
+
+    @settings(max_examples=100)
+    @given(_oracle_spectra())
+    def test_lambda1_is_the_lp_optimum(self, case):
+        # min s s.t. 0 <= lam_k <= s, sum lam = 1, lam . mu = t over (lam, s)
+        from scipy.optimize import linprog
+
+        mu, target = case
+        d = len(mu)
+        res = linprog(
+            np.append(np.zeros(d), 1.0),
+            A_ub=np.hstack([np.eye(d), -np.ones((d, 1))]),
+            b_ub=np.zeros(d),
+            A_eq=np.vstack([np.append(np.ones(d), 0.0), np.append(mu, 0.0)]),
+            b_eq=[1.0, target],
+            bounds=[(0.0, None)] * (d + 1),
+            method="highs",
+        )
+        assert res.status == 0
+        lam1 = min_lambda1_for_value(mu, target, d).lambdas[0]
+        assert lam1 == pytest.approx(res.x[-1], abs=1e-12)
+
+    @settings(max_examples=100)
+    @given(_oracle_spectra())
+    def test_renyi2_is_the_least_purity_over_every_support(self, case):
+        # the convex QP's optimum is the least purity among the supports whose
+        # stationary point is nonnegative, so every support is tried; on the levels
+        # z = mu - mu1, since the oracle's normal equations lose digits to an offset
+        mu, target = case
+        d = len(mu)
+        supports = itertools.chain.from_iterable(
+            itertools.combinations(range(d), r) for r in range(1, d + 1)
+        )
+        z, tau = mu - mu[0], target - mu[0]
+        purities = [_exact_purity_on_support(z, tau, list(idx)) for idx in supports]
+        best = min(p for p in purities if p is not None)
+        lam = min_renyi2_for_value(mu, target, d).lambdas
+        assert (lam**2).sum() == pytest.approx(best, abs=1e-12)
 
 
 class TestScaleRules:
@@ -573,7 +653,7 @@ class TestConstructOptimalState:
         sol = min_lambda1_for_value(spec.values, 2.2, 4)
         rho = construct_optimal_state(sol, spec, dims=(2, 2))
         assert np.trace(rho.matrix @ chsh_op).real == pytest.approx(2.2, abs=1e-10)
-        assert state_functionals(rho).lambda1 == pytest.approx(2.2 / TSIRELSON, abs=1e-10)
+        assert np.linalg.eigvalsh(rho.matrix)[-1] == pytest.approx(2.2 / TSIRELSON, abs=1e-10)
 
     def test_rank3_value(self):
         spec = eig_hermitian(np.diag(MU4))

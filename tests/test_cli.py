@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellres import barrier, bounds, cli, twoqubit
+from bellres import barrier, bell, bounds, cli, twoqubit
 from bellres.errors import Infeasible, SolverFailure
 from bellres.linalg import _tol
 
@@ -721,22 +722,23 @@ def test_relent_compare_matches_the_per_row_reference(grid, v):
 class TestBoundGolden:
     # sha256 of the bound command's JSON stdout, recorded before the closed
     # forms were rewritten around shared helpers; the outputs must keep their bytes.
-    # The relent rows were re-recorded when relent came to bisect on the normalised levels
+    # The relent rows were re-recorded when relent came to bisect on the normalised levels,
+    # and again when S_P came to be read off the Gibbs weights (resource_value only)
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["chsh-c4", "--value", "0.2", "--measure", "probustness"],
              "7e6de61a876e6aa3b88c1307fea7c30da01b60b1a23e39be35bf2912ee11c3cc"),
             (["chsh-c4", "--value", "0.2", "--measure", "relent"],
-             "79af377fa98e4cba5d1ab27367348b8628a20d1a1dd319084a35c497488ad34e"),
+             "dd551a73027e174ed99857deaf7d6227e1c53831d17b4e39f4dccceb3237e23f"),
             (["i3322", "--target", "4.001", "--measure", "probustness"],
              "cd690130399e142e8423277f386c8d456452c35129273d089ceb3210bd01e8de"),
             (["i3322", "--target", "4.001", "--measure", "relent"],
-             "29c30b6dc3eba12d211806dde244fabc9e7c05a917b2ebb206ce0cdd78118cd4"),
+             "7866a2e2568fa09db170b2a73af2f60cc021af6ef9ff1b1735f4bd72b3ec2fc1"),
             (["steering-f2", "--value", "0.3", "--measure", "probustness"],
              "9ec668451382b5bd333503b5fcb2951e3ba036a79970a74230f5ddd922e234f0"),
             (["steering-f2", "--value", "0.3", "--measure", "relent"],
-             "4f037b72d6caf3be84d61fe9e5447682fb9980a571ae928ec504b103442c8667"),
+             "ef868a3a1f560812f2e45dd5dedd4ea120b62b88f43bcc98b440b22b154e466e"),
         ],
         ids=[f"{builtin}-{measure}" for builtin in ("chsh-c4", "i3322", "steering-f2")
              for measure in ("probustness", "relent")],
@@ -877,3 +879,107 @@ def test_import_of_bounds_loads_only_what_bounds_imports():
     assert done.returncode == 0, done.stderr
     loaded = ["bellres", "bellres.bounds", "bellres.errors", "bellres.linalg"]
     assert done.stdout.strip() == str(loaded)
+
+
+# any float, +-inf and NaN included, or one in the range the commands accept
+_NUMBERS = st.one_of(st.floats(), st.floats(-1.0, 5.0))
+# the command line's numbers, as repr prints them and argparse's float() reads them back
+_NUMBER_TEXT = _NUMBERS.map(repr)
+
+
+def _grid_text(max_steps: int):
+    """start:stop:steps with any ends and -1 to max_steps steps."""
+    return st.builds("{}:{}:{}".format, _NUMBER_TEXT, _NUMBER_TEXT, st.integers(-1, max_steps))
+
+
+def _unit_vectors():
+    def vector(theta, phi):
+        return [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+
+    return st.builds(vector, st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+
+
+def _qubit_setting(n):
+    """The projectors (1 -+ n.sigma)/2 of a Bloch vector n, each as 4 [re, im] pairs."""
+    sigma_n = bell.observable_from_bloch(n)
+    return [[[x.real, x.imag] for x in ((np.eye(2) + sign * sigma_n) / 2).ravel()]
+            for sign in (-1.0, 1.0)]
+
+
+@st.composite
+def _scenario_docs(draw):
+    """Scenario documents of either form.  Vectors are unit or any three floats;
+    measurement settings are qubit projectors or any four [re, im] pairs per
+    element; coefficients, g and the dims are drawn freely."""
+    numbers = st.lists(_NUMBERS, min_size=3, max_size=3)
+    if draw(st.booleans()):
+        vectors = st.lists(st.one_of(_unit_vectors(), numbers), max_size=3)
+        rows = st.lists(_NUMBERS, min_size=1, max_size=3)
+        return {"correlation": {"bloch_a": draw(vectors), "bloch_b": draw(vectors),
+                                "g": draw(st.lists(rows, max_size=3))}}
+    pairs = st.lists(st.tuples(_NUMBERS, _NUMBERS).map(list), min_size=4, max_size=4)
+    setting = st.one_of(_unit_vectors().map(_qubit_setting), st.lists(pairs, max_size=3))
+    index = st.integers(-1, 2)
+    coefficient = st.fixed_dictionaries({"a": index, "b": index, "x": index, "y": index,
+                                         "c": _NUMBERS})
+    return {
+        "dims": draw(st.sampled_from([[2, 2], [2, 2], [1, 2], [0, 2], [2]])),
+        "measurements": {"alice": draw(st.lists(setting, max_size=2)),
+                         "bob": draw(st.lists(setting, max_size=2))},
+        "coefficients": draw(st.lists(coefficient, max_size=8)),
+    }
+
+
+@st.composite
+def _argvs(draw):
+    """argv for every command but i3322-check, with the scenario document that a
+    bound --scenario call reads (or None); tables have at most 2,500 rows."""
+    command = draw(st.sampled_from(
+        ["bound", "chsh-curve", "steering-curve", "heatmap", "min-resources", "relent-compare"]
+    ))
+    if command == "bound":
+        doc = draw(st.one_of(st.none(), _scenario_docs()))
+        source = (["--builtin", draw(st.sampled_from(["chsh-c4", "i3322", "steering-f2"]))]
+                  if doc is None else ["--scenario", "SCENARIO"])
+        value = f"--{draw(st.sampled_from(['value', 'target']))}={draw(_NUMBER_TEXT)}"
+        measure = f"--measure={draw(st.sampled_from(['probustness', 'renyi2', 'relent']))}"
+        return [command, *source, value, measure], doc
+    if command == "heatmap":
+        grids = [f"--ca-grid={draw(_grid_text(50))}", f"--cb-grid={draw(_grid_text(50))}"]
+    else:
+        option = {"chsh-curve": "c-grid", "steering-curve": "ca-grid",
+                  "min-resources": "v-grid", "relent-compare": "c-grid"}[command]
+        grids = [f"--{option}={draw(_grid_text(2500))}"]
+    v = [] if command == "min-resources" else [f"--v={draw(_NUMBER_TEXT)}"]
+    return [command, *v, *grids], None
+
+
+@settings(max_examples=300)
+@given(case=_argvs())
+# a Bloch vector whose squared norm overflows
+@example(case=(["bound", "--scenario", "SCENARIO", "--value=0.2"],
+               {"correlation": {"bloch_a": [[0.0, 0.0, 1.0]], "bloch_b": [[0.0, 0.0, 1.4e154]],
+                                "g": [[1.0]]}}))
+# a POVM entry 1j * inf
+@example(case=(["bound", "--scenario", "SCENARIO", "--value=0.0"],
+               {"dims": [2, 2], "measurements": {
+                   "alice": [], "bob": [[[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, np.inf]]]]},
+                "coefficients": []}))
+# grid points past the float range
+@example(case=(["chsh-curve", "--v=0.0", "--c-grid=0.0:1.7976931348623157e+308:220"], None))
+# a violation whose rank-2 step overflows
+@example(case=(["chsh-curve", "--v=6.940900166934938e+304", "--c-grid=0.0:1.0:1296"], None))
+def test_main_returns_an_exit_code_and_prints_nothing_on_input_errors(case):
+    argv, doc = case
+    with tempfile.TemporaryDirectory() as scratch:
+        if doc is not None:
+            path = os.path.join(scratch, "scenario.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv = [path if arg == "SCENARIO" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert out.getvalue() == ""

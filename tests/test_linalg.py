@@ -17,7 +17,6 @@ from bellres.linalg import (
     density_state,
     eig_hermitian,
     partial_transpose,
-    state_functionals,
     tensor,
 )
 
@@ -223,39 +222,6 @@ class TestPartialTranspose:
         state = DensityState(matrix=np.eye(8) / 8, dims=(2, 2, 2))
         with pytest.raises(BadSubsystem, match="exactly two subsystems"):
             partial_transpose(state, 0)
-
-
-class TestStateFunctionals:
-    def test_maximally_mixed(self):
-        f = state_functionals(density_state(np.eye(4) / 4, (2, 2)))
-        assert f.linear_purity == pytest.approx(0.25, abs=1e-12)
-        assert f.renyi2_purity == pytest.approx(0.0, abs=1e-12)
-        assert f.entropy == pytest.approx(np.log(4), abs=1e-12)
-        assert f.lambda1 == pytest.approx(0.25, abs=1e-12)
-
-    def test_pure_state(self):
-        rho = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
-        f = state_functionals(density_state(rho, (2, 2)))
-        assert f.linear_purity == pytest.approx(1.0, abs=1e-10)
-        assert f.renyi2_purity == pytest.approx(2.0, abs=1e-9)
-        assert f.entropy == pytest.approx(0.0, abs=1e-8)
-        assert f.lambda1 == pytest.approx(1.0, abs=1e-10)
-
-    def test_qubit_diag(self):
-        f = state_functionals(density_state(np.diag([0.75, 0.25]), (2,)))
-        assert f.linear_purity == pytest.approx(0.625, abs=1e-12)
-        assert f.renyi2_purity == pytest.approx(np.log2(1.25), abs=1e-12)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_purity_is_sum_of_squared_eigenvalues(self, seed):
-        rng = np.random.default_rng(seed)
-        lam = rng.dirichlet(np.ones(4))
-        q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-        rho = (q * lam) @ q.conj().T
-        rho = (rho + rho.conj().T) / 2
-        f = state_functionals(density_state(rho, (4,)))
-        assert abs(f.linear_purity - float((lam**2).sum())) <= 1e-10
 
 
 class TestValidation:

@@ -4,13 +4,20 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from bellres import barrier, bell, twoqubit
 from bellres.bounds import min_lambda1_for_value
-from bellres.errors import Infeasible, NotBellDiagonal, NotHermitian, OutOfRange, SolverFailure
-from bellres.linalg import PAULI_X, PAULI_Z, density_state, eig_hermitian, tensor
+from bellres.errors import (
+    DimMismatch,
+    Infeasible,
+    NotBellDiagonal,
+    NotHermitian,
+    OutOfRange,
+    SolverFailure,
+)
+from bellres.linalg import PAULI_X, PAULI_Z, commutator_norm, density_state, eig_hermitian, tensor
 from bellres.oracles import default_rng
 from bellres.twoqubit import (
     _B,
@@ -383,12 +390,109 @@ class TestErSolvers:
             program(chsh_op, np.nan)
 
 
+# unit Bloch vectors from polar and azimuthal angles
+_BLOCH = st.builds(
+    lambda theta, phi: [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 2.0 * np.pi),
+)
+# how far v lies towards its largest value mu1 - local
+_TOWARDS_MU1 = st.floats(0.02, 0.98)
+_LEAST_C = 0.1
+
+
+class TestCurvesAgainstTheSdp:
+    """The rank-2 curves are the joint E_R program's minimum over all states,
+    for random measurement settings of the CHSH and F2 steering operators."""
+
+    @settings(max_examples=50)
+    @given(st.lists(_BLOCH, min_size=4, max_size=4), _TOWARDS_MU1)
+    def test_chsh_curve_is_the_joint_er_minimum(self, bloch, frac):
+        obs = [bell.observable_from_bloch(b) for b in bloch]
+        op = sum(
+            sign * tensor(obs[x], obs[2 + y])
+            for (x, y), sign in zip(itertools.product(range(2), repeat=2), [1, 1, 1, -1])
+        )
+        c = min(bell.incompatibility(*obs)[2], 4.0)
+        assume(c >= _LEAST_C)
+        v = frac * (np.sqrt(4.0 + c) - 2.0)
+        e_r, _ = er_min_for_value(op, 2.0 + v)
+        assert e_r == pytest.approx(min_er_vs_c_curve(v, c).e_r, abs=1e-8)
+
+    @settings(max_examples=50)
+    @given(st.lists(_BLOCH, min_size=2, max_size=2), _TOWARDS_MU1)
+    def test_steering_curve_is_the_joint_er_minimum(self, bloch, frac):
+        a1, a2 = (bell.observable_from_bloch(b) for b in bloch)
+        c_a = min(commutator_norm(a1, a2), 2.0)
+        assume(c_a >= _LEAST_C)
+        v = frac * (np.sqrt(2.0 + c_a) - RT2)
+        e_r, _ = er_min_for_value(bell.steering_operator_f2(a1, a2), RT2 + v)
+        assert e_r == pytest.approx(min_er_vs_ca_curve(v, c_a).e_r, abs=1e-8)
+
+    # Below _LEAST_C the top two levels are close, and the joint program's
+    # iterates leave their cone or stall on the dual residual for some v: at
+    # C = 0.01, 9 of 13 violations from 2% to 98% of the way to mu1 fail for
+    # CHSH and 8 of 13 for steering.  These two cases pin that defect.
+    @pytest.mark.xfail(raises=SolverFailure, strict=True,
+                       reason="the joint E_R program fails near a degenerate top pair")
+    @pytest.mark.parametrize("steering", [False, True], ids=["chsh", "steering"])
+    def test_nearly_compatible_settings_fail_the_joint_program(self, steering):
+        a1, a2 = bell.chsh_settings_for_c(0.01 if steering else 0.1)  # C = 0.01 either way
+        if steering:
+            op, local, v = bell.steering_operator_f2(a1, a2), RT2, 0.34 * (np.sqrt(2.01) - RT2)
+            want = min_er_vs_ca_curve(v, 0.01).e_r
+        else:
+            op = tensor(a1, a1) + tensor(a1, a2) + tensor(a2, a1) - tensor(a2, a2)
+            local, v = 2.0, 0.5 * (np.sqrt(4.01) - 2.0)
+            want = min_er_vs_c_curve(v, 0.01).e_r
+        e_r, _ = er_min_for_value(op, local + v)
+        assert e_r == pytest.approx(want, abs=1e-8)
+
+
 @pytest.mark.parametrize(
-    "program", [er_ppt_solver, lambda rho: cr_fixed_basis(rho, np.eye(4))], ids=["er", "cr"]
+    "program",
+    [
+        er_ppt_solver,
+        lambda rho: cr_fixed_basis(rho, np.eye(4)),
+        lambda rho: cr_min_over_product_bases(rho, restarts=1, seed=1),
+    ],
+    ids=["er", "cr", "search"],
 )
 def test_fixed_state_programs_refuse_a_nan_array(program):
     with pytest.raises(NotHermitian, match="non-finite"):
         program(np.full((4, 4), np.nan))
+    # nor an array that is not a state, which would still get a value
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        program(np.diag([1.5, -0.5, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="trace 2.0 is not 1"):
+        program(np.eye(4) / 2)
+
+
+_NINE = np.diag(np.arange(9.0)[::-1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: er_ppt_solver(np.eye(9) / 9),
+        lambda: er_ppt_solver(density_state(np.eye(9) / 9, (3, 3))),
+        lambda: er_min_for_value(_NINE, 7.0),
+        lambda: er_min_for_value(np.diag([1.0, -1.0]), 0.5),
+        lambda: cr_min_for_value(_NINE, 7.0, np.eye(9)),
+        lambda: cr_min_for_value(_NINE, 7.0, np.eye(4)),
+        lambda: cr_min_over_product_bases(None, restarts=1, seed=1, target_op=_NINE, target=7.0),
+    ],
+    ids=["er-array", "er-state", "er-joint", "er-joint-2x2", "cr-joint", "cr-joint-4x4-basis",
+         "search-joint"],
+)
+def test_two_qubit_programs_refuse_other_sizes(monkeypatch, call):
+    # refused before any cone is built, not by numpy's broadcasting inside one
+    def no_cone(*args, **kwargs):
+        raise AssertionError("a cone was built")
+
+    monkeypatch.setattr(twoqubit, "ConeConstraint", no_cone)
+    with pytest.raises(DimMismatch, match="4x4|inconsistent"):
+        call()
 
 
 class TestCrSolvers:
