@@ -131,9 +131,10 @@ def solve_sdp(
 
     The rows of a_eq must hold at x0; they may be redundant.  The solve runs on
     x = x0 + N z, where N is an orthonormal basis of the null space of a_eq
-    (singular values at or below 1e-12 of max(1, the largest) count as zero),
-    with the cones shifted to S_k(x0) and z starting at 0.  Every row then
-    holds at the returned x up to rounding.  Without a_eq, N = I and x = x0 + z.
+    with each nonzero row scaled to unit norm (singular values at or below
+    1e-12 of the largest count as zero), with the cones shifted to S_k(x0)
+    and z starting at 0.  Every row then holds at the returned x up to
+    rounding.  Without a_eq, N = I and x = x0 + z.
 
     Z starts at S(x0)^-1.  Each iteration factors the Schur matrix M_ij =
     Re tr(A_i Z A_j S^-1) once for an affine predictor and a corrector with
@@ -142,15 +143,19 @@ def solve_sdp(
     residual c_i - Re tr(A_i Z) is within 1e-9 (1 + max|c|): c.x minus the
     dual objective is then the gap plus residual times x.  The multipliers nu
     of the rows come from the same SVD, as the least-squares solution of
-    c - A*(Z) = a_eq^T nu.  SolverFailure is raised when x0 is not strictly
-    feasible, when c.x falls along a predictor that never meets the cone
-    boundary (unbounded below), when a direction is not finite or an iterate
-    leaves its cone, and after _MAX_ITERATIONS.
+    c - A*(Z) = a_eq^T nu: found for the unit-norm rows, then divided by the
+    row norms.  SolverFailure is raised when x0 is not strictly feasible,
+    when c.x falls along a predictor that never meets the cone boundary
+    (unbounded below), when a direction is not finite or an iterate leaves
+    its cone, and after _MAX_ITERATIONS.
     """
     c_x = np.asarray(c, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     rows = np.zeros((0, len(x0))) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
-    u, sv, vt = np.linalg.svd(rows)  # without rows vt = I exactly, so N = I
+    # each row at unit norm, so that the rank cut does not depend on a row's scale
+    norms = np.linalg.norm(rows, axis=1)
+    norms[norms == 0.0] = 1.0
+    u, sv, vt = np.linalg.svd(rows / norms[:, None])  # without rows vt = I exactly, so N = I
     rank = int(np.sum(sv > 1e-12 * sv.max(initial=1.0)))
     null = vt[rank:].T
     caller = _stack(cones)
@@ -196,7 +201,7 @@ def solve_sdp(
                 # c - A*(Z) lies in the row space of a_eq = U_r diag(sv_r) V_r^T up to
                 # the residual; A*(Z) is over the caller's cones
                 a_z = np.einsum("kij,ji->k", caller.basis, z).real
-                nu = u[:, :rank] @ ((vt[:rank] @ (c_x - a_z)) / sv[:rank])
+                nu = u[:, :rank] @ ((vt[:rank] @ (c_x - a_z)) / sv[:rank]) / norms
             return SolveInfo(x, float(c_x @ x), dual, gap, iteration, nu, z)
         if iteration == _MAX_ITERATIONS:
             raise SolverFailure(f"no certificate in {iteration} iterations: gap {gap:.2e}, "

@@ -88,17 +88,22 @@ def sample_spectra(cfg: SamplerConfig, d: int, rng: np.random.Generator | None =
     raise InfeasibleConstraint(f"unknown constraint {cfg.constraint!r}")
 
 
-def _eigenbasis_weights(rng: np.random.Generator, n: int, vh: np.ndarray) -> np.ndarray:
-    """|W_aj|^2 for j < d, with W = V^dag Q and Q from the QR of n complex Gaussians.
+_CHUNK = 20000  # samples per draw of spectra and real parts: fixes the random stream
+_QR_BLOCK = 2048  # samples per QR: bounds the working set, leaves the stream alone
 
-    The draw takes every real part, then every imaginary part, of n d x d
-    Gaussians, as two (n, d, d) draws would; only their first d - 1 columns
-    are used.  Its own function, so that the chunk-sized arrays are freed
-    before the next chunk draws.
+
+def _eigenbasis_weights(rng: np.random.Generator, real: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """|W_aj|^2 for j < d, with W = V^dag Q and Q from the QR of one block of complex Gaussians.
+
+    real holds the block's real parts, the first d - 1 columns of m d x d
+    Gaussians; the block's imaginary parts are drawn here as m d x d
+    Gaussians, of which likewise only the first d - 1 columns are used.  Its
+    own function, so that a block's arrays are freed before the next block
+    draws.
     """
-    d = vh.shape[0]
-    gauss = np.empty((n, d, d - 1), dtype=complex)
-    gauss.real, gauss.imag = rng.standard_normal((2, n, d, d))[..., :-1]
+    gauss = np.empty(real.shape, dtype=complex)
+    gauss.real = real
+    gauss.imag = rng.standard_normal((len(real), vh.shape[0], vh.shape[0]))[..., :-1]
     w = vh @ np.linalg.qr(gauss)[0]
     return w.real**2 + w.imag**2
 
@@ -121,6 +126,13 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
     Column j of the Householder Q depends only on the first j + 1 columns
     of G, so the QR of G's first d - 1 columns gives those columns of Q.
 
+    The samples come in chunks of _CHUNK: a chunk draws its spectra, then
+    the real parts of all its G, then their imaginary parts one block of
+    _QR_BLOCK samples at a time, each block right before its QR.  Philox's
+    standard_normal gives the same numbers in one call as in consecutive
+    shorter ones, and the QR and products work matrix by matrix, so the
+    block size bounds the working set without changing any sample.
+
     Raises NotHermitian for a non-Hermitian op or one with a non-finite
     entry, and InfeasibleConstraint for a count that is not an integer
     (Python or numpy, not bool) of at least 1.
@@ -134,13 +146,16 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
     best = -np.inf
     remaining = cfg.count
     while remaining > 0:
-        n = min(20000, remaining)  # chunks bound the memory of the batched unitaries
+        n = min(_CHUNK, remaining)
         sub = SamplerConfig(cfg.seed, n, cfg.constraint, cfg.value)
         spectra = sample_spectra(sub, d, rng)
-        diag = mu @ _eigenbasis_weights(rng, n, vh)  # u_j^dag I u_j for j < d
         gaps = spectra[:, :-1] - spectra[:, -1:]  # lam_j - lam_d for j < d
-        vals = np.einsum("nj,nj->n", gaps, diag) + spectra[:, -1] * trace
-        best = max(best, float(vals.max()))
+        real = rng.standard_normal((n, d, d))[..., :-1]
+        for lo in range(0, n, _QR_BLOCK):
+            block = slice(lo, lo + _QR_BLOCK)
+            diag = mu @ _eigenbasis_weights(rng, real[block], vh)  # u_j^dag I u_j for j < d
+            vals = np.einsum("nj,nj->n", gaps[block], diag) + spectra[block, -1] * trace
+            best = max(best, float(vals.max()))
         remaining -= n
     return best
 
@@ -151,20 +166,23 @@ def _exact_purity_on_support(mu: np.ndarray, target: float, idx) -> float | None
     Solves the two-multiplier linear system for min sum lam^2 subject to
     sum lam = 1 and lam . mu = target with lam supported on idx; returns None
     when the system is singular, the constraints are not met, or any weight
-    turns negative.
+    turns negative.  The system is solved on the levels z = mu - max(mu) and
+    the target t - max(mu), since an offset common to the levels costs its
+    normal equations digits, and the target is met within 1e-9 of the
+    levels' spread.
     """
-    m = mu[idx]
-    s0, s1, s2 = float(len(m)), float(m.sum()), float((m * m).sum())
+    top = float(mu.max())
+    z, tau = mu[idx] - top, target - top
+    s0, s1, s2 = float(len(z)), float(z.sum()), float((z * z).sum())
     try:
-        ab = np.linalg.solve([[s0, s1], [s1, s2]], [2.0, 2.0 * target])
+        ab = np.linalg.solve([[s0, s1], [s1, s2]], [2.0, 2.0 * tau])
     except np.linalg.LinAlgError:
         return None
-    lam = (ab[0] + ab[1] * m) / 2.0
-    scale = 1.0 + abs(target)
+    lam = (ab[0] + ab[1] * z) / 2.0
     if (
         lam.min() < -1e-12
         or abs(lam.sum() - 1.0) > 1e-9
-        or abs(lam @ m - target) > 1e-9 * scale
+        or abs(lam @ z - tau) > 1e-9 * (top - float(mu.min()))
     ):
         return None
     return float((lam**2).sum())
@@ -187,7 +205,10 @@ def min_purity_nelder_mead(mu, target: float, *, seed: int | None = None) -> flo
         raise OutOfRange(f"levels and target must be finite, got {mu} and {target}")
     d = len(mu)
     a_eq = np.stack([np.ones(d), mu])
-    b_eq = np.array([1.0, target])
+    # each row at unit norm, so that the rank cut does not depend on the levels' scale
+    norms = np.linalg.norm(a_eq, axis=1)
+    norms[norms == 0.0] = 1.0
+    a_eq, b_eq = a_eq / norms[:, None], np.array([1.0, target]) / norms
     x_part, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     _, sv, vt = np.linalg.svd(a_eq)
     null = vt[int(np.sum(sv > 1e-12)):].T

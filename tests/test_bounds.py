@@ -528,6 +528,15 @@ def _oracle_spectra(draw):
     return mu, _target(mu, draw(st.floats(0.02, 0.98)))
 
 
+def _least_purity_over_supports(mu, target) -> float:
+    """The least exact purity over every support of the levels."""
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(len(mu)), r) for r in range(1, len(mu) + 1)
+    )
+    purities = [_exact_purity_on_support(mu, target, list(idx)) for idx in supports]
+    return min(p for p in purities if p is not None)
+
+
 class TestExactOracles:
     """The spectrum bounds against exact programs that make no use of the rank ansatz."""
 
@@ -556,18 +565,19 @@ class TestExactOracles:
     @given(_oracle_spectra())
     def test_renyi2_is_the_least_purity_over_every_support(self, case):
         # the convex QP's optimum is the least purity among the supports whose
-        # stationary point is nonnegative, so every support is tried; on the levels
-        # z = mu - mu1, since the oracle's normal equations lose digits to an offset
+        # stationary point is nonnegative, so every support is tried
         mu, target = case
-        d = len(mu)
-        supports = itertools.chain.from_iterable(
-            itertools.combinations(range(d), r) for r in range(1, d + 1)
+        lam = min_renyi2_for_value(mu, target, len(mu)).lambdas
+        assert (lam**2).sum() == pytest.approx(_least_purity_over_supports(mu, target), abs=1e-12)
+
+    def test_support_enumeration_keeps_its_digits_under_an_offset(self):
+        # solved on the raw levels, the normal equations lost 2.07e-12 to the offset
+        mu = np.array([4.35154888, 4.27433627, 4.27433627])
+        target = 4.33868011411967
+        want = _exact(mu, target)[1]  # 0.7083333809875346
+        assert _least_purity_over_supports(mu, target) == pytest.approx(
+            want, abs=4 * np.spacing(want)
         )
-        z, tau = mu - mu[0], target - mu[0]
-        purities = [_exact_purity_on_support(z, tau, list(idx)) for idx in supports]
-        best = min(p for p in purities if p is not None)
-        lam = min_renyi2_for_value(mu, target, d).lambdas
-        assert (lam**2).sum() == pytest.approx(best, abs=1e-12)
 
 
 class TestScaleRules:

@@ -1,9 +1,12 @@
 """Tests for the brute-force verifiers: samplers, optimizers, stationarity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from bellres import oracles
 from bellres.bounds import (
     RankSolution,
     max_value_given_probustness,
@@ -171,6 +174,38 @@ class TestSampleMaxExpectation:
         want = _full_qr_max(op, cfg)
         assert abs(sample_max_expectation(op, cfg) - want) <= 1e-13 * (1.0 + abs(want))
 
+    @pytest.mark.parametrize("constraint", ["none", "fixed-lambda1"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_block_size_leaves_every_maximum_unchanged(self, monkeypatch, d, constraint):
+        # the blocks only split the imaginary parts' draw and the QR, so any block
+        # size gives the same samples; 997 cuts blocks across the chunk boundary
+        rng = default_rng(0x5A3 + d)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        op = g + g.conj().T
+        lam1 = 1.0 / d + 0.3 * (1.0 - 1.0 / d)
+        cfg = SamplerConfig(int(rng.integers(2**32)), 20_001, constraint, lam1)
+        small = SamplerConfig(cfg.seed, 50, constraint, lam1)
+        want, want_small = sample_max_expectation(op, cfg), sample_max_expectation(op, small)
+        for block in (997, 20_001):
+            monkeypatch.setattr(oracles, "_QR_BLOCK", block)
+            assert sample_max_expectation(op, cfg) == want
+        monkeypatch.setattr(oracles, "_QR_BLOCK", 1)
+        assert sample_max_expectation(op, small) == want_small
+
+    def test_one_chunk_peak_memory(self):
+        # one d = 8 chunk of 20,000 samples: about 70 MiB of numpy arrays when the
+        # whole chunk is orthonormalised at once, about 20 MiB in blocks of 2,048
+        rng = default_rng(0x3E3)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        cfg = SamplerConfig(7, 20_000, "fixed-lambda1", 0.4)
+        tracemalloc.start()
+        try:
+            sample_max_expectation(g + g.conj().T, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+
     @pytest.mark.parametrize("sample, count", _count_cases(0, -5))
     def test_count_below_one_raises(self, chsh_op, sample, count):
         with pytest.raises(InfeasibleConstraint, match="count"):
@@ -286,6 +321,16 @@ class TestPurityOracle:
         sol = min_renyi2_for_value(mu, 2.2, 4)
         closed = float((sol.lambdas**2).sum())
         assert abs(min_purity_nelder_mead(mu, 2.2, seed=18) - closed) <= 1e-6
+
+    def test_rank_cut_does_not_depend_on_the_scale(self):
+        # with an absolute cut on the singular values, the Bell row of levels 1e-13
+        # fell below it and the search ran over all states, returning 1/d
+        mu = np.array([1.3, 0.4, -0.2, -0.9])
+        want = min_purity_nelder_mead(mu, 0.8, seed=20)
+        assert min_purity_nelder_mead(1e-13 * mu, 1e-13 * 0.8, seed=20) == pytest.approx(
+            want, rel=1e-9
+        )
+        assert want == pytest.approx(float((min_renyi2_for_value(mu, 0.8, 4).lambdas ** 2).sum()))
 
     @pytest.mark.parametrize(
         "mu, target",

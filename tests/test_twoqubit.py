@@ -369,6 +369,14 @@ class TestErSolvers:
         assert e_r == pytest.approx(2 * lam1 - 1, abs=1e-5)
         assert np.trace(rho.matrix @ chsh_op).real == pytest.approx(2.2, abs=1e-6)
 
+    def test_joint_min_does_not_depend_on_the_scale(self, chsh_op):
+        # with a cut at 1e-12 max(1, sigma_max), the Bell row of a 1e-13 operator
+        # counted as zero: the solve dropped it and returned E_R = 1.2e-10
+        e_r, _ = er_min_for_value(chsh_op, 2.5)
+        scaled, rho = er_min_for_value(1e-13 * chsh_op, 2.5e-13)
+        assert scaled == pytest.approx(e_r, rel=1e-9)
+        assert np.trace(rho.matrix @ chsh_op).real == pytest.approx(2.5, abs=1e-6)
+
     # CHSH: Tr(I)/d = 0 and mu1 = 2 sqrt 2
     @pytest.mark.parametrize("target", [3.0, -0.5], ids=["above-mu1", "below-mean"])
     @pytest.mark.parametrize(
@@ -388,6 +396,54 @@ class TestErSolvers:
     def test_joint_min_non_finite_target(self, chsh_op, program):
         with pytest.raises(OutOfRange, match="target must be finite"):
             program(chsh_op, np.nan)
+
+
+def _random_state(seed: int, rank: int) -> np.ndarray:
+    """A random two-qubit density matrix of the given rank."""
+    g = default_rng(seed).normal(size=(4, rank, 2)) @ [1.0, 1.0j]
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _random_unitary(seed: int, d: int) -> np.ndarray:
+    """A random d x d unitary: Q of a complex Gaussian."""
+    g = default_rng(seed).normal(size=(d, d, 2)) @ [1.0, 1.0j]
+    return np.linalg.qr(g)[0]
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_RANKS = st.integers(1, 4)
+
+
+class TestSdpProperties:
+    """Invariances and the resource hierarchy of the fixed-state programs on random states."""
+
+    @settings(max_examples=20)
+    @given(_SEEDS, _RANKS, _SEEDS)
+    def test_er_is_invariant_under_local_unitaries(self, seed, rank, u_seed):
+        rho = _random_state(seed, rank)
+        u = np.kron(_random_unitary(u_seed, 2), _random_unitary(u_seed + 1, 2))
+        assert er_ppt_solver(u @ rho @ u.conj().T) == pytest.approx(er_ppt_solver(rho), abs=1e-8)
+
+    @settings(max_examples=20)
+    @given(_SEEDS, _RANKS, st.lists(st.floats(0.0, 2.0 * np.pi), min_size=10, max_size=10))
+    def test_cr_is_invariant_under_column_phases(self, seed, rank, angles):
+        rho = _random_state(seed, rank)
+        u = product_basis_matrix(angles[:6])
+        phased = u * np.exp(1j * np.array(angles[6:]))
+        assert cr_fixed_basis(rho, phased) == pytest.approx(cr_fixed_basis(rho, u), abs=1e-8)
+
+    @settings(max_examples=20)
+    @given(_SEEDS, _RANKS, st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6))
+    def test_er_cr_pr_hierarchy(self, seed, rank, angles):
+        # a product basis's incoherent states are separable, and the maximally mixed
+        # state that P_R = 4 lambda1 - 1 mixes towards is incoherent in every basis
+        rho = _random_state(seed, rank)
+        e_r = er_ppt_solver(rho)
+        c_r = cr_fixed_basis(rho, product_basis_matrix(angles))
+        p_r = 4.0 * np.linalg.eigvalsh(rho)[-1] - 1.0
+        assert e_r <= c_r + 1e-8
+        assert c_r <= p_r + 1e-8
 
 
 # unit Bloch vectors from polar and azimuthal angles
@@ -627,8 +683,7 @@ class TestCrSolvers:
     def test_gamma_is_a_gauge(self, i3322_scenario, angles, shift, seed):
         # the trailing Rz(gamma) of each qubit only phases the basis columns, which
         # the search relies on when it leaves gamma out
-        g = default_rng(seed).normal(size=(4, 4, 2)) @ [1.0, 1.0j]
-        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real  # full rank
+        rho = _random_state(seed, 4)
         op = bell.build_bell_operator(i3322_scenario)
         shifted = np.array(angles) + np.array([0, 0, shift[0], 0, 0, shift[1]])
         for program in (
