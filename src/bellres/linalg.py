@@ -25,8 +25,8 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.shape[0]:
+        raise DimMismatch(f"expected a square matrix of size at least 1, got shape {m.shape}")
     return m
 
 

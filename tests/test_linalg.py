@@ -12,6 +12,7 @@ from bellres.linalg import (
     PAULI_Z,
     DensityState,
     _tol,
+    as_matrix,
     check_hermitian,
     commutator_norm,
     density_state,
@@ -252,6 +253,12 @@ class TestValidation:
     def test_not_a_square_matrix(self, shape):
         with pytest.raises(DimMismatch, match="expected a square matrix"):
             check_hermitian(np.zeros(shape))
+
+    def test_empty_matrix_is_refused(self):
+        # 0 x 0 passed the shape test, and the callers raised numpy's "zero-size array"
+        for call in (as_matrix, check_hermitian, eig_hermitian):
+            with pytest.raises(DimMismatch, match="size at least 1, got shape \\(0, 0\\)"):
+                call(np.zeros((0, 0)))
 
     def test_density_state_trace(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from bellres import oracles
@@ -13,7 +15,7 @@ from bellres.bounds import (
     min_lambda1_for_value,
     min_renyi2_for_value,
 )
-from bellres.errors import InfeasibleConstraint, NotHermitian, OutOfRange
+from bellres.errors import DimMismatch, Infeasible, InfeasibleConstraint, NotHermitian, OutOfRange
 from bellres.oracles import (
     DEFAULT_SEED,
     SamplerConfig,
@@ -160,6 +162,22 @@ class TestDomination:
         bound = 0.6 * 2 * RT2  # top two eigenvalues are 2*sqrt(2) and 0
         assert sample_max_expectation(chsh_op, cfg) <= bound + 1e-9
 
+    @given(st.integers(2, 8), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50)
+    def test_repeated_levels_stay_under_the_closed_form(self, d, frac, seed):
+        # at most d - 1 distinct levels, so at least one repeats: random operators never do
+        rng = default_rng(seed)
+        levels = rng.normal(size=int(rng.integers(1, d)))
+        mu = np.sort(rng.choice(levels, size=d))[::-1]
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = np.linalg.qr(g)[0]
+        op = (u * mu) @ u.conj().T
+        op = (op + op.conj().T) / 2
+        lam1 = 1.0 / d + frac * (1.0 - 1.0 / d)
+        cfg = SamplerConfig(int(rng.integers(2**32)), 2000, "fixed-lambda1", lam1)
+        bound = max_value_given_probustness(mu, d * lam1 - 1.0, d).value
+        assert sample_max_expectation(op, cfg) <= bound + 1e-9 * (1.0 + np.abs(mu).max())
+
 
 class TestSampleMaxExpectation:
     @pytest.mark.parametrize("constraint", ["none", "fixed-lambda1"])
@@ -187,13 +205,32 @@ class TestSampleMaxExpectation:
         small = SamplerConfig(cfg.seed, 50, constraint, lam1)
         want, want_small = sample_max_expectation(op, cfg), sample_max_expectation(op, small)
         for block in (997, 20_001):
-            monkeypatch.setattr(oracles, "_QR_BLOCK", block)
+            monkeypatch.setattr(oracles, "_BLOCK", block)
             assert sample_max_expectation(op, cfg) == want
-        monkeypatch.setattr(oracles, "_QR_BLOCK", 1)
+        monkeypatch.setattr(oracles, "_BLOCK", 1)
         assert sample_max_expectation(op, small) == want_small
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_each_sample_matches_householder_qr(self, d):
+        count = 20_000
+        rng = default_rng(0x6B1 + d)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        vh = np.linalg.eigh(g + g.conj().T)[1].conj().T
+        real = rng.standard_normal((count, d, d))[..., :-1]
+        state = rng.bit_generator.state
+        got = oracles._eigenbasis_weights(rng, real, vh)
+        rng.bit_generator.state = state
+        gauss = real + 1j * rng.standard_normal((count, d, d))[..., :-1]
+        w = vh @ np.linalg.qr(gauss)[0]
+        want = (w.real**2 + w.imag**2).transpose(1, 2, 0)
+        assert np.abs(got - want).max() <= 1e-12
+        wr, wi = oracles._gram_schmidt(vh @ gauss)
+        w = wr + 1j * wi
+        gram = np.einsum("ajn,akn->njk", w.conj(), w)
+        assert np.abs(gram - np.eye(d - 1)).max() <= 1e-12
+
     def test_one_chunk_peak_memory(self):
-        # one d = 8 chunk of 20,000 samples: about 70 MiB of numpy arrays when the
+        # one d = 8 chunk of 20,000 samples: about 80 MiB of numpy arrays when the
         # whole chunk is orthonormalised at once, about 20 MiB in blocks of 2,048
         rng = default_rng(0x3E3)
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -231,6 +268,10 @@ class TestSampleMaxExpectation:
         op[1, 2] = op[2, 1] = np.nan
         with pytest.raises(NotHermitian, match="non-finite"):
             sample_max_expectation(op, SamplerConfig(1, 100, "fixed-lambda1", 0.6))
+
+    def test_empty_op_raises(self):
+        with pytest.raises(DimMismatch, match="size at least 1"):
+            sample_max_expectation(np.zeros((0, 0)), SamplerConfig(1, 100, "fixed-lambda1", 0.6))
 
     def test_non_hermitian_op_raises(self, chsh_op):
         op = chsh_op.copy()
@@ -333,13 +374,34 @@ class TestPurityOracle:
         assert want == pytest.approx(float((min_renyi2_for_value(mu, 0.8, 4).lambdas ** 2).sum()))
 
     @pytest.mark.parametrize(
+        "mu, target, want", [([2.0, 1.0], 2.0, 1.0), ([2.0, 1.0], 1.5, 0.5), ([1.0], 1.0, 1.0)]
+    )
+    def test_single_point_slice_is_its_own_minimum(self, mu, target, want):
+        # with no null space the search ran on an empty simplex and numpy raised
+        assert min_purity_nelder_mead(mu, target, seed=21) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mu, target",
+        [([3.0, 2.0, 1.0], 5.0), ([3.0, 2.0, 1.0], 0.0), ([2.0, 1.0], 2.0 + 1e-9), ([1.0], 1.5)],
+    )
+    def test_target_outside_the_levels_is_infeasible(self, mu, target):
+        # the penalised search returned its penalty (8000005.64 for the first) as a purity
+        with pytest.raises(Infeasible, match="outside"):
+            min_purity_nelder_mead(mu, target, seed=22)
+
+    def test_target_within_rounding_of_a_level_is_feasible(self):
+        mu = [3.0, 2.0, 1.0]
+        assert min_purity_nelder_mead(mu, 3.0 + 1e-13, seed=23) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
         "mu, target",
         [
             ([3.0, 1.0, 0.0, -2.0], np.nan),
             ([3.0, np.nan, 0.0, -2.0], 1.8),
             ([np.inf, 1.0, 0.0, -2.0], 1.8),
+            ([], 0.0),
         ],
-        ids=["nan-target", "nan-level", "inf-level"],
+        ids=["nan-target", "nan-level", "inf-level", "no-levels"],
     )
     def test_non_finite_input_is_out_of_range(self, capfd, mu, target):
         with pytest.raises(OutOfRange):
