@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import RankSolution
-from .errors import Infeasible, InfeasibleConstraint, OutOfRange
+from .errors import DimMismatch, Infeasible, InfeasibleConstraint, OutOfRange
 from .linalg import check_hermitian
 
 DEFAULT_SEED = 0xB311
@@ -65,11 +65,10 @@ def _spectra_fixed_lambda1(rng: np.random.Generator, n: int, d: int, lam1: float
     return out
 
 
-def _check_count(count) -> None:
-    """InfeasibleConstraint unless count is an integer (Python or numpy, not
-    bool) of at least 1."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise InfeasibleConstraint(f"count must be an integer of at least 1, got {count!r}")
+def _check_at_least_one(value, name: str, error: type[Exception]) -> None:
+    """error unless value is an integer (Python or numpy, not bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise error(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def sample_spectra(cfg: SamplerConfig, d: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -77,9 +76,10 @@ def sample_spectra(cfg: SamplerConfig, d: int, rng: np.random.Generator | None =
 
     Raises InfeasibleConstraint for a count that is not an integer (Python
     or numpy, not bool) of at least 1, an unknown constraint, or a lambda1
-    outside [1/d, 1].
+    outside [1/d, 1], and DimMismatch for a d that is not such an integer.
     """
-    _check_count(cfg.count)
+    _check_at_least_one(cfg.count, "count", InfeasibleConstraint)
+    _check_at_least_one(d, "d", DimMismatch)
     rng = rng or default_rng(cfg.seed)
     if cfg.constraint == "none":
         return rng.dirichlet(np.ones(d), size=cfg.count)
@@ -105,36 +105,31 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts, as arrays [a, j, sample], of the Gram-Schmidt of each w[sample].
+def _gram_schmidt(q: np.ndarray) -> np.ndarray:
+    """Orthonormalise each q[:, :, sample] in place; q is a contiguous complex array [a, j, sample].
 
     Modified Gram-Schmidt runs on the whole stack at once, with the sample
-    axis last and real and imaginary parts apart: each step normalises
-    column k and takes its projection off every later column.  The
-    coefficients are summed over rows by _sum_rows and every other
-    operation is elementwise, so no sample depends on the others in w.
+    axis last: each step normalises column k and takes its projection off
+    every later column.  The coefficients are summed over rows by _sum_rows
+    and every other operation is elementwise, so no sample depends on the
+    others in q.
 
     One pass is enough for the sampler's Gaussians.  Its loss of
     orthogonality is about machine epsilon times the condition number of
-    w[sample], and for a d x (d - 1) complex Gaussian P(sigma_min < s) =
+    q[:, :, sample], and for a d x (d - 1) complex Gaussian P(sigma_min < s) =
     O(s^4) (Edelman, SIAM J. Matrix Anal. Appl. 9, 1988), so ill-conditioned
     samples are rare: the largest condition number in 2e5 samples at each
     d = 3, 4, 6, 8 was 227, a loss of about 5e-14.
     """
-    w = w.transpose(1, 2, 0)
-    wr, wi = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
-    for k in range(wr.shape[1]):
-        qr, qi = wr[:, k], wi[:, k]
-        norm = np.sqrt(_sum_rows(qr * qr + qi * qi))
-        qr /= norm
-        qi /= norm
-        qr, qi = qr[:, None], qi[:, None]
-        xr, xi = wr[:, k + 1 :], wi[:, k + 1 :]
-        cr = _sum_rows(qr * xr + qi * xi)  # q^dag x, one per later column
-        ci = _sum_rows(qr * xi - qi * xr)
-        xr -= cr * qr - ci * qi
-        xi -= cr * qi + ci * qr
-    return wr, wi
+    for k in range(q.shape[1]):
+        col = q[:, k]
+        norm = np.sqrt(_sum_rows(col.real * col.real + col.imag * col.imag))
+        col.real /= norm  # part by part: col /= norm would run complex division
+        col.imag /= norm
+        col = col[:, None]
+        rest = q[:, k + 1 :]
+        rest -= _sum_rows(col.conj() * rest) * col  # q^dag x, one per later column
+    return q
 
 
 def _eigenbasis_weights(rng: np.random.Generator, real: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -145,13 +140,16 @@ def _eigenbasis_weights(rng: np.random.Generator, real: np.ndarray, vh: np.ndarr
     Gaussians, of which likewise only the first d - 1 columns are used.  Its
     own function, so that a block's arrays are freed before the next block
     draws.  V is unitary, so the Gram-Schmidt of V^dag G is V^dag Q with Q
-    the Gram-Schmidt of G.
+    the Gram-Schmidt of G.  The product with V^dag runs matrix by matrix: one
+    product over the whole block rounds differently at different block
+    widths.  It is then copied once into a contiguous complex array with the
+    sample axis last, which Gram-Schmidt orthonormalises in place.
     """
     gauss = np.empty(real.shape, dtype=complex)
     gauss.real = real
     gauss.imag = rng.standard_normal((len(real), vh.shape[0], vh.shape[0]))[..., :-1]
-    wr, wi = _gram_schmidt(vh @ gauss)
-    return wr * wr + wi * wi
+    w = _gram_schmidt(np.ascontiguousarray((vh @ gauss).transpose(1, 2, 0)))
+    return w.real * w.real + w.imag * w.imag
 
 
 def sample_max_expectation(op, cfg: SamplerConfig) -> float:
@@ -178,16 +176,17 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
     array is allocated once per call rather than once per chunk.
     Philox's standard_normal gives the same numbers in one call as in
     consecutive shorter ones, the product with V^dag works matrix by matrix,
-    and every sum over rows runs in the same order for each sample, so the
-    block size bounds the working set without changing any sample, to the
-    last bit.
+    and Gram-Schmidt runs on one complex array with the sample axis last,
+    elementwise but for sums over rows that run in the same order for each
+    sample, so the block size bounds the working set without changing any
+    sample, to the last bit.
 
     Raises NotHermitian for a non-Hermitian op or one with a non-finite
     entry, DimMismatch for a non-square or empty one, and
     InfeasibleConstraint for a count that is not an integer (Python or
     numpy, not bool) of at least 1.
     """
-    _check_count(cfg.count)
+    _check_at_least_one(cfg.count, "count", InfeasibleConstraint)
     mu, vecs = np.linalg.eigh(check_hermitian(op))
     d = len(mu)
     vh = vecs.conj().T
@@ -249,16 +248,19 @@ def min_purity_nelder_mead(mu, target: float, *, seed: int | None = None) -> flo
     {sum lam = 1, lam . mu = target} by its nullspace and runs penalized
     Nelder-Mead from random starts; the support found by the search is then
     refined by exact quadratic solves on its nested top-r subsets (the
-    quadratic penalty alone plateaus around 1e-6).  OutOfRange for no levels
-    or a non-finite level or target, and Infeasible for a target outside [min mu, max mu] by
-    more than 1e-12 of the levels' spread.  When the slice is a single point
+    quadratic penalty alone plateaus around 1e-6).  OutOfRange for levels
+    that are not a non-empty 1-D array or hold a non-finite value, or a
+    non-finite target, and Infeasible for a target outside [min mu, max mu]
+    by more than 1e-12 of the levels' spread.  When the slice is a single point
     (d = 1, or d = 2 with distinct levels) its purity is returned directly.
     """
     from scipy.optimize import minimize  # lazily: the CLI imports this module
 
     mu = np.asarray(mu, dtype=float)
-    if not (mu.size and np.isfinite(mu).all() and np.isfinite(target)):
-        raise OutOfRange(f"levels must be non-empty and finite, got {mu} and target {target}")
+    if not (mu.ndim == 1 and mu.size and np.isfinite(mu).all() and np.isfinite(target)):
+        raise OutOfRange(
+            f"levels must be a non-empty finite 1-D array, got {mu} and target {target}"
+        )
     lo, hi = float(mu.min()), float(mu.max())
     slack = 1e-12 * (hi - lo)
     if not lo - slack <= target <= hi + slack:

@@ -224,14 +224,31 @@ class TestSampleMaxExpectation:
         w = vh @ np.linalg.qr(gauss)[0]
         want = (w.real**2 + w.imag**2).transpose(1, 2, 0)
         assert np.abs(got - want).max() <= 1e-12
-        wr, wi = oracles._gram_schmidt(vh @ gauss)
-        w = wr + 1j * wi
+        w = oracles._gram_schmidt(np.ascontiguousarray((vh @ gauss).transpose(1, 2, 0)))
         gram = np.einsum("ajn,akn->njk", w.conj(), w)
         assert np.abs(gram - np.eye(d - 1)).max() <= 1e-12
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_each_sample_is_the_same_in_any_block(self, d):
+        # the maxima alone could hide a sample that moved below the top one
+        count = 2_000
+        rng = default_rng(0x7C2 + d)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        vh = np.linalg.eigh(g + g.conj().T)[1].conj().T
+        real = rng.standard_normal((count, d, d))[..., :-1]
+        state = rng.bit_generator.state
+        whole = oracles._eigenbasis_weights(rng, real, vh)
+        for block in (1, 997):
+            rng.bit_generator.state = state
+            parts = [
+                oracles._eigenbasis_weights(rng, real[lo : lo + block], vh)
+                for lo in range(0, count, block)
+            ]
+            assert np.array_equal(np.concatenate(parts, axis=-1), whole)
+
     def test_one_chunk_peak_memory(self):
-        # one d = 8 chunk of 20,000 samples: about 80 MiB of numpy arrays when the
-        # whole chunk is orthonormalised at once, about 20 MiB in blocks of 2,048
+        # one d = 8 chunk of 20,000 samples: about 63 MiB of numpy arrays when the
+        # whole chunk is orthonormalised at once, about 18.5 MiB in blocks of 2,048
         rng = default_rng(0x3E3)
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         cfg = SamplerConfig(7, 20_000, "fixed-lambda1", 0.4)
@@ -257,6 +274,12 @@ class TestSampleMaxExpectation:
     def test_count_not_an_integer_raises(self, chsh_op, sample, count):
         with pytest.raises(InfeasibleConstraint, match="count"):
             sample(chsh_op, count)
+
+    @pytest.mark.parametrize("constraint", ["none", "fixed-lambda1"])
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True])
+    def test_dimension_not_a_positive_integer_raises(self, d, constraint):
+        with pytest.raises(DimMismatch, match="d must be"):
+            sample_spectra(SamplerConfig(1, 3, constraint, 0.6), d)
 
     def test_numpy_integer_count_is_a_count(self, chsh_op):
         cfg = SamplerConfig(1, 50, "fixed-lambda1", 0.6)
@@ -400,8 +423,10 @@ class TestPurityOracle:
             ([3.0, np.nan, 0.0, -2.0], 1.8),
             ([np.inf, 1.0, 0.0, -2.0], 1.8),
             ([], 0.0),
+            ([[3.0, 1.0], [0.0, -2.0]], 1.8),
+            (1.8, 1.8),
         ],
-        ids=["nan-target", "nan-level", "inf-level", "no-levels"],
+        ids=["nan-target", "nan-level", "inf-level", "no-levels", "2-d-levels", "0-d-levels"],
     )
     def test_non_finite_input_is_out_of_range(self, capfd, mu, target):
         with pytest.raises(OutOfRange):
