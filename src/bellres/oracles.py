@@ -1,6 +1,15 @@
 """Independent brute-force verifiers: constrained state samplers, a
 Nelder-Mead minimal-purity search, and the Lagrange stationarity checker.
 
+The minimal-purity search maps the levels affinely onto [-1, 0], which
+leaves the minimal purity unchanged and the search blind to their scale.
+It runs SciPy's non-adaptive Nelder-Mead (rho = 1, chi = 2, psi = sigma =
+1/2, ported step for step, so that this module does not import
+scipy.optimize) from 12 starts in lockstep: one simplex array for all of
+them and one batched objective call per step and trial point.  Exact
+quadratic solves on the supports the search finds give the answer, and the
+penalised search value only when none of them is feasible.
+
 Randomness comes from a counter-based Philox generator so every sample
 stream is reproducible from (seed, config) alone; the default seed can be
 overridden through the BRB_SEED environment variable.
@@ -241,21 +250,145 @@ def _exact_purity_on_support(mu: np.ndarray, target: float, idx) -> float | None
     return float((lam**2).sum())
 
 
+_PENALTY = 1e7  # cost per unit squared negative weight in the Nelder-Mead objective
+
+
+def _slice_basis(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Least-norm point x and orthonormal null-space basis N of {sum lam = 1, lam . z = tau}.
+
+    The levels z lie in [-1, 0] and hold both 0 and -1, so the rows ones and
+    z are independent, with singular values of at least (sqrt(5) - 1)/2 (the
+    least of the 2 x 2 minor on those two columns): the slice is lam = x + N v
+    with v in d - 2 dimensions.
+    """
+    a_eq = np.stack([np.ones(len(z)), z])
+    x_part = np.linalg.lstsq(a_eq, [1.0, tau], rcond=None)[0]
+    return x_part, np.linalg.svd(a_eq)[2][2:].T
+
+
+def _slice_weights(x_part: np.ndarray, null: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """lam = x_part + null v for each row v[..., :] of v.
+
+    Elementwise products and sums over the last axis, so that every row rounds
+    the same in any batch: a matrix product rounds differently at different
+    batch widths.
+    """
+    return x_part + (null * v[..., None, :]).sum(-1)
+
+
+def _penalised_purity(lam: np.ndarray) -> np.ndarray:
+    """sum lam^2 + _PENALTY sum min(lam, 0)^2 over the last axis."""
+    neg = np.minimum(lam, 0.0)
+    return (lam * lam).sum(-1) + _PENALTY * (neg * neg).sum(-1)
+
+
+# SciPy's non-adaptive coefficients: reflection, expansion, contraction, shrink
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+# each trial point is a xbar - b x_worst, in SciPy's own products: the
+# reflection, and the second point by its kind (the inside contraction's
+# + psi x_worst as - (-psi) x_worst, which IEEE arithmetic rounds alike)
+_REFLECT = (1 + _RHO, _RHO)
+_EXPAND, _CONTRACT_OUT, _CONTRACT_IN = 0, 1, 2
+_SECOND = np.array(
+    [(1 + _RHO * _CHI, _RHO * _CHI), (1 + _PSI * _RHO, _PSI * _RHO), (1 - _PSI, -_PSI)]
+)
+
+
+def _nelder_mead(f, x0: np.ndarray, *, xatol: float, fatol: float, maxfev: int):
+    """SciPy's non-adaptive Nelder-Mead from each start x0[s], all starts in lockstep.
+
+    f maps points v[..., :] to values [...] and must give each point the same
+    bits in any batch.  Every start follows scipy.optimize.minimize(f,
+    x0[s], method="Nelder-Mead") (SciPy 1.17's _minimize_neldermead) step for
+    step: the initial simplex scales each coordinate by 1.05, or sets a zero
+    one to 0.00025; the coefficients are rho = 1, chi = 2, psi = 1/2, sigma =
+    1/2; the simplex is argsorted after every step; a start stops, frozen,
+    once its vertices lie within xatol and its values within fatol of its
+    best vertex, or once it has made maxfev evaluations, where an evaluation
+    the cap refuses leaves what SciPy leaves.  Each step makes one batched
+    call for the reflections, one for the expansion or contraction point each
+    start needs, and one more for the starts that shrink.  Returns the best
+    vertex and the least value of each start.
+    """
+    m, n = x0.shape
+    sim = np.repeat(x0[:, None], n + 1, axis=1)  # [start, vertex, coordinate]
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = f(sim)
+    fsim[:, maxfev:] = np.inf  # vertices past the cap stay unevaluated
+    fcalls = np.full(m, min(n + 1, maxfev))
+    rows, unsorted = np.arange(m)[:, None], np.arange(n + 1)
+    for _ in range(2):  # SciPy sorts the initial simplex twice
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+    while True:
+        converged = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        )
+        run = (fcalls < maxfev) & ~converged
+        if not run.any():
+            break
+        xbar = _sum_rows(sim[:, :-1].swapaxes(0, 1)) / n
+        worst, fworst = sim[:, -1], fsim[:, -1]
+        xr = _REFLECT[0] * xbar - _REFLECT[1] * worst
+        fxr = f(xr)
+        fcalls += run
+        expand = fxr < fsim[:, 0]
+        kind = np.where(expand, _EXPAND, np.where(fxr < fworst, _CONTRACT_OUT, _CONTRACT_IN))
+        coef = _SECOND[kind]
+        second = coef[:, :1] * xbar - coef[:, 1:] * worst
+        fsecond = f(second)
+        accept_r = ~expand & (fxr < fsim[:, -2])
+        # the second point is evaluated only within the cap; a refused one changes nothing
+        need = run & ~accept_r & (fcalls < maxfev)
+        fcalls += need
+        better = np.where(
+            expand, fsecond < fxr, np.where(kind == _CONTRACT_OUT, fsecond <= fxr, fsecond < fworst)
+        )
+        take_second = need & better
+        take_r = run & (accept_r | (need & expand & ~better))
+        shrink = need & ~expand & ~better
+        sim[:, -1] = np.where(take_second[:, None], second, np.where(take_r[:, None], xr, worst))
+        fsim[:, -1] = np.where(take_second, fsecond, np.where(take_r, fxr, fworst))
+        if shrink.any():
+            # vertex j moves, then is evaluated; the cap can refuse an evaluation after its move
+            budget = (maxfev - fcalls)[:, None]
+            moved = shrink[:, None] & (unsorted[1:] <= budget + 1)
+            evaluated = moved & (unsorted[1:] <= budget)
+            shrunk = sim[:, :1] + _SIGMA * (sim[:, 1:] - sim[:, :1])
+            sim[:, 1:] = np.where(moved[..., None], shrunk, sim[:, 1:])
+            fsim[:, 1:] = np.where(evaluated, f(shrunk), fsim[:, 1:])
+            fcalls += evaluated.sum(axis=1)
+        order = np.where(run[:, None], np.argsort(fsim, axis=1), unsorted)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+    return sim[:, 0], fsim.min(axis=1)
+
+
 def min_purity_nelder_mead(mu, target: float, *, seed: int | None = None) -> float:
     """Brute-force minimal linear purity at Tr(rho I) = target.
 
-    Independent of the closed-form solver: parametrizes the affine slice
-    {sum lam = 1, lam . mu = target} by its nullspace and runs penalized
-    Nelder-Mead from random starts; the support found by the search is then
-    refined by exact quadratic solves on its nested top-r subsets (the
-    quadratic penalty alone plateaus around 1e-6).  OutOfRange for levels
-    that are not a non-empty 1-D array or hold a non-finite value, or a
-    non-finite target, and Infeasible for a target outside [min mu, max mu]
-    by more than 1e-12 of the levels' spread.  When the slice is a single point
-    (d = 1, or d = 2 with distinct levels) its purity is returned directly.
-    """
-    from scipy.optimize import minimize  # lazily: the CLI imports this module
+    Independent of the closed-form solver.  The levels and target are first
+    mapped to z = (mu - mu1)/(mu1 - mu_d) and tau = (target - mu1)/(mu1 -
+    mu_d), with mu1 and mu_d the largest and least level: the map leaves the
+    slice {sum lam = 1, lam . mu = target}, and so the minimal purity,
+    unchanged, and makes the search blind to the levels' scale and offset.
+    Equal levels give 1/d.  The slice is parametrised by its null space, and
+    sum lam^2 + 1e7 sum min(lam, 0)^2 is minimised by Nelder-Mead from 12
+    starts in lockstep (`_nelder_mead`, SciPy's coefficients and stopping
+    rule with xatol 1e-12, fatol 1e-14 and 20000 evaluations per start): the
+    first start at the slice's least-norm point, the others normal with
+    scale 0.3 about it, each restarted once from the vertex it found.  The
+    exact quadratic solves on the nested top-r subsets of the best start's
+    weights then give the answer: the least of those that are feasible, and
+    the penalised value only when none is, since a slightly negative weight
+    costs only 1e7 lam^2 and lets that value sit below the true minimum.
 
+    OutOfRange for levels that are not a non-empty 1-D array or hold a
+    non-finite value, or a non-finite target, and Infeasible for a target
+    outside [min mu, max mu] by more than 1e-12 of the levels' spread.  When
+    the slice is a single point (d = 2 with distinct levels) its purity is
+    returned directly.
+    """
     mu = np.asarray(mu, dtype=float)
     if not (mu.ndim == 1 and mu.size and np.isfinite(mu).all() and np.isfinite(target)):
         raise OutOfRange(
@@ -266,46 +399,26 @@ def min_purity_nelder_mead(mu, target: float, *, seed: int | None = None) -> flo
     if not lo - slack <= target <= hi + slack:
         raise Infeasible(f"target {target} lies outside the levels' range [{lo}, {hi}]")
     d = len(mu)
-    a_eq = np.stack([np.ones(d), mu])
-    # each row at unit norm, so that the rank cut does not depend on the levels' scale
-    norms = np.linalg.norm(a_eq, axis=1)
-    norms[norms == 0.0] = 1.0
-    a_eq, b_eq = a_eq / norms[:, None], np.array([1.0, target]) / norms
-    x_part, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    _, sv, vt = np.linalg.svd(a_eq)
-    null = vt[int(np.sum(sv > 1e-12)):].T
+    if hi == lo:
+        return 1.0 / d
+    z, tau = (mu - hi) / (hi - lo), (target - hi) / (hi - lo)
+    x_part, null = _slice_basis(z, tau)
     if not null.shape[1]:
         return float(x_part @ x_part)
-    penalty = 1e7
 
-    def objective(z):
-        lam = x_part + null @ z
-        neg = np.minimum(lam, 0.0)
-        return float(lam @ lam + penalty * neg @ neg)
+    def objective(v):
+        return _penalised_purity(_slice_weights(x_part, null, v))
 
     rng = default_rng(seed)
-    best_v = np.inf
-    best_lam = x_part
-    for k in range(12):  # 12 starts, the first at the least-norm point x_part
-        z0 = np.zeros(null.shape[1]) if k == 0 else rng.normal(scale=0.3, size=null.shape[1])
-        for _ in range(2):  # restart the simplex at the found point once
-            res = minimize(
-                objective,
-                z0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 20000},
-            )
-            z0 = res.x
-        if res.fun < best_v:
-            best_v = float(res.fun)
-            best_lam = x_part + null @ res.x
-    order = np.argsort(best_lam)[::-1]
-    candidates = [best_v]
-    for r in range(1, d + 1):
-        v = _exact_purity_on_support(mu, target, order[:r])
-        if v is not None:
-            candidates.append(v)
-    return min(candidates)
+    starts = np.zeros((12, null.shape[1]))
+    starts[1:] = rng.normal(scale=0.3, size=(11, null.shape[1]))
+    for _ in range(2):  # restart each simplex at the vertex it found once
+        starts, values = _nelder_mead(objective, starts, xatol=1e-12, fatol=1e-14, maxfev=20000)
+    best = int(np.argmin(values))
+    order = np.argsort(_slice_weights(x_part, null, starts[best]))[::-1]
+    exact = [_exact_purity_on_support(z, tau, order[:r]) for r in range(1, d + 1)]
+    exact = [v for v in exact if v is not None]
+    return min(exact) if exact else float(values[best])
 
 
 def stationarity_check(sol: RankSolution, mu) -> float:
@@ -313,10 +426,13 @@ def stationarity_check(sol: RankSolution, mu) -> float:
 
     alpha, beta are recovered by least squares; valid for the fixed-purity
     (Lagrange) solutions, and expected to fail for the robustness program.
-    OutOfRange for a non-finite level or weight.
+    OutOfRange for levels that are not a 1-D array of at least sol.rank
+    entries, or a non-finite level or weight.
     """
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(sol.lambdas, dtype=float)
+    if not (mu.ndim == 1 and len(mu) >= sol.rank):
+        raise OutOfRange(f"levels must be a 1-D array of at least {sol.rank} entries, got {mu}")
     if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
         raise OutOfRange(f"levels and weights must be finite, got {mu} and {lam}")
     mu = mu[: sol.rank]

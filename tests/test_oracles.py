@@ -1,6 +1,10 @@
 """Tests for the brute-force verifiers: samplers, optimizers, stationarity."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +344,99 @@ class TestNelderMeadMax:
         assert closed - 1e-8 <= v <= closed + 5e-7
 
 
+def _purity_objective(rng, d):
+    """The purity oracle's penalised objective on the slice of a random instance, and its n."""
+    mu = np.sort(rng.normal(size=d))[::-1]
+    target = mu.mean() + rng.uniform(0.05, 0.95) * (mu[0] - mu.mean())
+    spread = mu[0] - mu[-1]
+    x_part, null = oracles._slice_basis((mu - mu[0]) / spread, (target - mu[0]) / spread)
+    return lambda v: oracles._penalised_purity(oracles._slice_weights(x_part, null, v)), d - 2
+
+
+def _lockstep(f, x0, maxfev=20000):
+    return oracles._nelder_mead(f, x0, xatol=1e-12, fatol=1e-14, maxfev=maxfev)
+
+
+def _scipy_nelder_mead(f, x0, maxfev=20000):
+    """SciPy's Nelder-Mead on f through a one-row wrapper, and the evaluations of each step."""
+    calls = [0]
+
+    def one_row(v):
+        calls[0] += 1
+        return float(f(v[None])[0])
+
+    ends = []
+    res = minimize(
+        one_row,
+        x0,
+        method="Nelder-Mead",
+        callback=lambda xk: ends.append(calls[0]),
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": maxfev},
+    )
+    return res, np.diff([len(x0) + 1, *ends])
+
+
+class TestLockstepNelderMead:
+    def test_each_start_follows_scipy_to_the_bit(self):
+        rng = np.random.default_rng(7)
+        shrinks = 0
+        for d in range(3, 9):
+            f, n = _purity_objective(rng, d)
+            x0 = rng.normal(scale=0.3, size=(12, n))
+            x0[0] = 0.0  # every coordinate zero: SciPy's 0.00025 steps
+            x, fun = _lockstep(f, x0)
+            for s in range(12):
+                res, steps = _scipy_nelder_mead(f, x0[s])
+                assert np.array_equal(x[s], res.x) and fun[s] == res.fun, (d, s)
+                shrinks += int((steps > 2).sum())  # a shrink step evaluates 2 + n points
+        assert shrinks
+
+    def test_each_start_alone_gives_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        f, n = _purity_objective(rng, 5)
+        x0 = rng.normal(scale=0.3, size=(12, n))
+        x, fun = _lockstep(f, x0)
+        for s in range(12):
+            alone_x, alone_fun = _lockstep(f, x0[s : s + 1])
+            assert np.array_equal(alone_x[0], x[s]) and alone_fun[0] == fun[s]
+
+    def test_a_small_cap_stops_every_start_as_in_scipy(self):
+        rng = np.random.default_rng(10)
+        f, n = _purity_objective(rng, 5)
+        x0 = rng.normal(scale=0.3, size=(12, n))
+        runs = [_scipy_nelder_mead(f, x) for x in x0]
+        # the evaluations before the earliest shrink step of any start
+        before = min(
+            n + 1 + int(steps[:k].sum()) for _, steps in runs for k in np.flatnonzero(steps > 2)[:1]
+        )
+        assert before + n + 1 < min(res.nfev for res, _ in runs)  # every start runs until then
+        cut_shrinks = 0
+        # caps inside the initial simplex, on the first step's points, on that
+        # shrink step's second point and inside its shrink, after each evaluation
+        for cap in [*range(1, n + 4), *range(before + 1, before + n + 2)]:
+            x, fun = _lockstep(f, x0, maxfev=cap)
+            for s in range(12):
+                res, steps = _scipy_nelder_mead(f, x0[s], maxfev=cap)
+                assert res.status == 1 and res.nfev == cap  # stopped by the cap
+                assert np.array_equal(x[s], res.x) and fun[s] == res.fun, (cap, s)
+                cut_shrinks += int(2 < steps[-1:].sum() < 2 + n)
+        assert cut_shrinks
+
+
+def test_purity_oracle_does_not_import_scipy_optimize():
+    probe = (
+        "import sys; from bellres.oracles import min_purity_nelder_mead; "
+        "min_purity_nelder_mead([3.0, 1.0, 0.0, -2.0], 1.8, seed=17); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(oracles.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 class TestStationarity:
     def test_qubit_example(self):
         sol = min_renyi2_for_value([1.0, -1.0], 0.5, 2)
@@ -369,6 +466,18 @@ class TestStationarity:
             stationarity_check(sol, mu)
         assert capfd.readouterr().err == ""  # refused before LAPACK sees it
 
+    @pytest.mark.parametrize(
+        "mu",
+        [[3.0, 1.0, 0.0], [[3.0, 1.0], [0.0, -2.0]], 3.0],
+        ids=["shorter-than-rank", "2-d-levels", "0-d-levels"],
+    )
+    def test_misshapen_levels_are_out_of_range(self, mu):
+        # numpy raised ValueError (shapes) or IndexError (0-d) from inside the check
+        sol = min_renyi2_for_value([3.0, 1.0, 0.0, -2.0], 1.0, 4)
+        assert sol.rank == 4
+        with pytest.raises(OutOfRange, match="1-D array of at least 4"):
+            stationarity_check(sol, mu)
+
 
 class TestPurityOracle:
     def test_matches_closed_form(self):
@@ -387,14 +496,38 @@ class TestPurityOracle:
         assert abs(min_purity_nelder_mead(mu, 2.2, seed=18) - closed) <= 1e-6
 
     def test_rank_cut_does_not_depend_on_the_scale(self):
-        # with an absolute cut on the singular values, the Bell row of levels 1e-13
-        # fell below it and the search ran over all states, returning 1/d
+        # the Bell row of levels 1e-13 fell below an absolute cut on the singular
+        # values, and at 1e-300 below the cut on unit rows as its norm underflowed:
+        # the search then ran over all states and returned 1/d; at 1e200 the norm
+        # overflowed
         mu = np.array([1.3, 0.4, -0.2, -0.9])
         want = min_purity_nelder_mead(mu, 0.8, seed=20)
-        assert min_purity_nelder_mead(1e-13 * mu, 1e-13 * 0.8, seed=20) == pytest.approx(
-            want, rel=1e-9
+        for scale in [1e-300, 1e-200, 1e-100, 1e-13, 1e100, 1e200]:
+            assert min_purity_nelder_mead(scale * mu, scale * 0.8, seed=20) == pytest.approx(
+                want, rel=1e-12
+            )
+        assert want == pytest.approx(
+            float((min_renyi2_for_value(mu, 0.8, 4).lambdas ** 2).sum()), abs=1e-12
         )
-        assert want == pytest.approx(float((min_renyi2_for_value(mu, 0.8, 4).lambdas ** 2).sum()))
+
+    def test_equal_levels_give_the_maximally_mixed_purity(self):
+        assert min_purity_nelder_mead([0.7, 0.7, 0.7], 0.7, seed=20) == 1.0 / 3.0
+
+    def test_returns_the_least_exact_support_solve(self):
+        # the least of the penalised search value and the exact solves was returned;
+        # a slightly negative weight costs the penalty only 1e7 lam^2, so that value
+        # fell 2e-7 to 1.1e-6 below the closed form on these four of the first 38
+        # instances drawn here
+        rng = np.random.default_rng(5)
+        for k in range(38):
+            d = int(rng.integers(3, 9))
+            mu = np.sort(rng.normal(size=d))[::-1]
+            target = mu.mean() + rng.uniform(0.05, 0.95) * (mu[0] - mu.mean())
+            if k in (12, 24, 35, 37):
+                closed = float((min_renyi2_for_value(mu, target, d).lambdas ** 2).sum())
+                assert min_purity_nelder_mead(mu, target, seed=k) == pytest.approx(
+                    closed, abs=1e-12
+                )
 
     @pytest.mark.parametrize(
         "mu, target, want", [([2.0, 1.0], 2.0, 1.0), ([2.0, 1.0], 1.5, 0.5), ([1.0], 1.0, 1.0)]
