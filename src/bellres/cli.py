@@ -317,7 +317,7 @@ def cmd_i3322_check(args) -> int:
         "E_R_reference": I3322_REF_ER,
         "E_R_delta": abs(e_r - I3322_REF_ER),
     }
-    ok = report["P_R_delta"] <= 5e-4 and report["E_R_delta"] <= 1e-3
+    checks = [report["P_R_delta"] <= 5e-4, report["E_R_delta"] <= 1e-3]
     if not args.skip_cr:
         c_r, _ = twoqubit.cr_min_over_product_bases(
             None, restarts=args.restarts, target_op=op, target=target
@@ -329,9 +329,10 @@ def cmd_i3322_check(args) -> int:
             C_R_within_tolerance=bool(abs(c_r - I3322_REF_CR) <= 1e-2),
         )
         report["hierarchy_ok"] = bool(p_r > c_r > e_r)
-    report["pass"] = bool(ok)
+        checks += [report["C_R_within_tolerance"], report["hierarchy_ok"]]
+    report["pass"] = bool(all(checks))
     print(json.dumps(report, indent=2))
-    return 0 if ok else 2
+    return 0 if report["pass"] else 2
 
 
 class _Parser(argparse.ArgumentParser):

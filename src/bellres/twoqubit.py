@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import barrier
+from . import _bfgs, barrier
 from .barrier import ConeConstraint, hermitian_basis, hermitian_from_params, params_from_hermitian
 from .bounds import _check_interior, construct_optimal_state, min_lambda1_for_value
 from .errors import DimMismatch, NotBellDiagonal, OutOfRange, SolverFailure
@@ -26,6 +26,7 @@ from .linalg import (
     eig_hermitian,
     partial_transpose,
 )
+from .oracles import _check_at_least_one, default_rng
 
 _B = (1.0 / np.sqrt(2.0)) * np.array(
     [
@@ -430,6 +431,24 @@ def cr_min_for_value(
     return value, -2.0 * info.multipliers[1] * op @ u @ rho
 
 
+def _angle_objective(program):
+    """x -> (C_R, its gradient in the four angles) of program(U) at U = _product_basis(x).
+
+    The gradient comes from the solve itself (envelope theorem), chained to
+    the angles.  A basis whose solve fails gets (inf, 0).
+    """
+
+    def objective(x):
+        u, du = _product_basis(x)
+        try:
+            value, g = program(u, gap_tol=1e-8, gradient=True)
+        except SolverFailure:
+            return np.inf, np.zeros(4)
+        return value, np.einsum("kij,ij->k", du, g.conj()).real
+
+    return objective
+
+
 def cr_min_over_product_bases(
     rho, *, restarts: int = 4, seed: int | None = None, target_op=None, target: float | None = None
 ) -> tuple[float, np.ndarray]:
@@ -437,53 +456,45 @@ def cr_min_over_product_bases(
 
     Give either rho, held fixed, or target_op with target, in which case the
     state is also optimized inside each basis (the joint program of the
-    three-setting experiment).  From each of `restarts` random starts one BFGS
-    run (gtol 1e-6, at most 100 iterations) goes over the four local-rotation
-    angles (alpha, beta) per qubit, every solve at gap 1e-8, and the best run
-    is kept.  On the three-setting fixture every converged start reaches the
-    same C_R (32 starts within 3e-11), so a few restarts suffice.  A third
-    Euler angle gamma per qubit would only put a phase on each basis column,
-    which leaves C_R unchanged, so it is a gauge and is left out.  The
-    gradient comes from the solve itself (envelope theorem), chained to the
-    angles; it costs no extra solves.  Returns an upper bound to the true
-    minimum and the best basis found.  A basis whose solve fails counts as
-    rejected; SolverFailure is raised when every basis tried failed.
+    three-setting experiment).  From each of `restarts` random starts (an
+    integer of at least 1, not a bool, else ValueError) one BFGS run goes
+    over the four local-rotation angles (alpha, beta) per qubit, every solve
+    at gap 1e-8, and the best run is kept.  The BFGS is a step-for-step port
+    of SciPy's (gtol 1e-6 in the inf-norm, at most 100 iterations), which
+    reaches SciPy's iterates to the bit.  On the three-setting fixture every
+    converged start reaches the same C_R (32 starts within 3e-11), so a few
+    restarts suffice.  A third Euler angle gamma per qubit would only put a
+    phase on each basis column, which leaves C_R unchanged, so it is a gauge
+    and is left out.  The gradient comes from the solve itself (envelope
+    theorem), chained to the angles; it costs no extra solves.  Returns an
+    upper bound to the true minimum and the best basis found.
+
+    A basis whose solve fails gets the value inf: a start there stops at
+    once, and a line search that meets one backs off, unless the fallback
+    line search fails too.  Then, as in SciPy's BFGS, the run ends at the
+    point it had reached (SciPy's status 2), which can be short of a
+    stationary point.  Runs also end with status 2, without a failed solve,
+    where the gap-1e-8 solves leave the gradient too noisy for gtol.
+    SolverFailure is raised when every basis tried failed.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    _check_at_least_one(restarts, "restarts", ValueError)
     joint = target_op is not None
     if (rho is not None) == joint or (target is not None) != joint:
         raise ValueError("give rho, or target_op together with target, but not both")
-
-    from scipy.optimize import minimize
-
-    from .oracles import default_rng
-
-    rng = default_rng(seed)
 
     if joint:
         program = functools.partial(cr_min_for_value, target_op, target)
     else:
         program = functools.partial(cr_fixed_basis, _state(rho))
-
-    def objective(x):
-        u, du = _product_basis(x)
-        try:
-            value, g = program(u, gap_tol=1e-8, gradient=True)
-        except SolverFailure:  # rejected: a start there stops, a line search steps back
-            return np.inf, np.zeros(4)
-        return value, np.einsum("kij,ij->k", du, g.conj()).real
-
+    objective = _angle_objective(program)
+    rng = default_rng(seed)
     # each start draws all six Euler angles, so a seed gives the same stream as
     # ever, and keeps the four that are not a gauge
     runs = [
-        minimize(
-            objective, rng.uniform(0.0, 2.0 * np.pi, size=6)[[0, 1, 3, 4]], method="BFGS",
-            jac=True, options={"gtol": 1e-6, "maxiter": 100},
-        )
+        _bfgs.minimize(objective, rng.uniform(0.0, 2.0 * np.pi, size=6)[[0, 1, 3, 4]])
         for _ in range(restarts)
     ]
-    best = min(runs, key=lambda res: res.fun)
+    best = min(runs, key=lambda run: run.fun)
     if not np.isfinite(best.fun):
         raise SolverFailure(
             f"no product basis gave a finite C_R: best {best.fun} in {restarts} restarts"

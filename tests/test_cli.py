@@ -840,6 +840,23 @@ class TestI3322Check:
         assert out == ""
         assert "solver failure" in err
 
+    # a C_R within 1e-2 of the reference lies between E_R and P_R, so the
+    # hierarchy cannot fail alone
+    @pytest.mark.parametrize(
+        "c_r, hierarchy_ok", [(1.5, True), (0.5, False)], ids=["off-reference", "below-E_R"]
+    )
+    def test_a_failed_c_r_check_fails_the_run(self, capsys, monkeypatch, c_r, hierarchy_ok):
+        # pass is every check the report prints, not only P_R and E_R
+        monkeypatch.setattr(
+            twoqubit, "cr_min_over_product_bases", lambda *args, **kwargs: (c_r, np.eye(4))
+        )
+        code, out, _ = run(capsys, ["i3322-check", "--restarts", "1"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        assert doc["P_R_delta"] <= 5e-4 and doc["E_R_delta"] <= 1e-3
+        assert doc["C_R_within_tolerance"] is False and doc["hierarchy_ok"] is hierarchy_ok
+
     @pytest.mark.parametrize("restarts", ["0", "-2"])
     def test_no_restarts_is_an_input_error(self, capsys, restarts):
         code, out, err = run(capsys, ["i3322-check", "--restarts", restarts])
@@ -864,6 +881,17 @@ def test_import_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+    # nor does a run of the C_R search load scipy.optimize
+    probe = (
+        "import sys; from bellres import cli; code = cli.main(['i3322-check', '--restarts', '1']); "
+        "print(code, 'scipy.optimize' in sys.modules, file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"] is True
+    assert done.stderr.split() == ["0", "False"]
 
 
 def test_import_of_bounds_loads_only_what_bounds_imports():

@@ -1,13 +1,15 @@
 """Tests for the two-qubit resource machinery and the convex verifiers."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize, rosen, rosen_der
 
-from bellres import barrier, bell, twoqubit
+from bellres import _bfgs, barrier, bell, twoqubit
 from bellres.bounds import min_lambda1_for_value
 from bellres.errors import (
     DimMismatch,
@@ -629,6 +631,17 @@ class TestCrSolvers:
         with pytest.raises(ValueError, match="rho, or target_op"):
             cr_min_over_product_bases(rho, restarts=1, seed=0xC3, target_op=op, target=target)
 
+    @pytest.mark.parametrize("restarts", [0, -2, True, False, 2.5, 1.0, np.float64(4.0), "4", None])
+    def test_restarts_must_be_an_integer_of_at_least_1(self, restarts):
+        rho = density_state(np.eye(4) / 4, (2, 2))
+        with pytest.raises(ValueError, match="restarts must be an integer of at least 1"):
+            cr_min_over_product_bases(rho, restarts=restarts, seed=0xC3)
+
+    def test_numpy_integer_restarts(self):
+        rho = density_state(np.eye(4) / 4, (2, 2))
+        value, _ = cr_min_over_product_bases(rho, restarts=np.int64(1), seed=0xC3)
+        assert value <= 1e-6
+
     def test_bench_configuration_search(self, i3322_scenario):
         op = bell.build_bell_operator(i3322_scenario)
         value, basis = cr_min_over_product_bases(
@@ -728,6 +741,102 @@ class TestCrSolvers:
             monkeypatch, bell.build_bell_operator(i3322_scenario)
         )
         assert gaps and set(gaps) == {1e-8}
+
+
+def _search_starts(seed, count):
+    """The starts cr_min_over_product_bases draws: four of six Euler angles each."""
+    rng = default_rng(seed)
+    return [rng.uniform(0.0, 2.0 * np.pi, size=6)[[0, 1, 3, 4]] for _ in range(count)]
+
+
+def _joint_objective(op, fail_every=None):
+    """The search's objective on the joint program at 4.001; every fail_every-th solve fails."""
+    calls = itertools.count(1)
+
+    def program(u, **kwargs):
+        if fail_every and next(calls) % fail_every == 0:
+            raise SolverFailure("forced")
+        return cr_min_for_value(op, 4.001, u, **kwargs)
+
+    return twoqubit._angle_objective(program)
+
+
+class TestBfgsFollowsScipy:
+    """The BFGS port reaches SciPy's x, value, status, iterations and evaluations to the bit."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """Whether each wolfe2 fallback of the port found a step."""
+        found = []
+        wolfe2 = _bfgs._wolfe2
+
+        def recorded(*args):
+            step = wolfe2(*args)
+            found.append(step is not None)
+            return step
+
+        monkeypatch.setattr(_bfgs, "_wolfe2", recorded)
+        return found
+
+    @staticmethod
+    def _follows_scipy(make_objective, x0):
+        """The port's run from x0, after checking it against SciPy's on a fresh objective."""
+        run = _bfgs.minimize(make_objective(), x0)
+        res = minimize(
+            make_objective(), x0, method="BFGS", jac=True, options={"gtol": 1e-6, "maxiter": 100}
+        )
+        assert np.array_equal(run.x, res.x) and run.fun == res.fun
+        assert (run.status, run.nit, run.nfev) == (res.status, res.nit, res.nfev)
+        return run
+
+    def test_bench_configuration(self, i3322_scenario, fallbacks):
+        op = bell.build_bell_operator(i3322_scenario)
+        x0 = _search_starts(0xB311, 1)[0]
+        run = self._follows_scipy(lambda: _joint_objective(op), x0)
+        assert (run.status, run.nit, run.nfev) == (0, 19, 27) and not fallbacks
+
+    @pytest.mark.parametrize("start", [3, 8])
+    def test_criterion_2_starts_where_both_line_searches_fail(
+        self, i3322_scenario, fallbacks, start
+    ):
+        op = bell.build_bell_operator(i3322_scenario)
+        x0 = _search_starts(0xB311, 32)[start]
+        run = self._follows_scipy(lambda: _joint_objective(op), x0)
+        assert run.status == 2 and fallbacks == [False]
+        assert run.fun == pytest.approx(0.8419287612, abs=1e-9)
+
+    @pytest.mark.parametrize("fail_every", [3, 5])
+    def test_forced_failures_where_the_fallback_finds_a_step(
+        self, i3322_scenario, fallbacks, fail_every
+    ):
+        op = bell.build_bell_operator(i3322_scenario)
+        x0 = _search_starts(0xB311, 1)[0]
+        self._follows_scipy(lambda: _joint_objective(op, fail_every), x0)
+        assert any(fallbacks)
+
+    def test_fixed_state_rank2_phi_mixture(self, bds_matrix, fallbacks):
+        rho = density_state(bds_matrix([0.8, 0.2, 0.0, 0.0]), (2, 2))
+        program = functools.partial(cr_fixed_basis, rho)
+        statuses = [
+            self._follows_scipy(lambda: twoqubit._angle_objective(program), x0).status
+            for x0 in _search_starts(0xC0, 8)
+        ]
+        assert statuses == [0, 0, 0, 0, 0, 0, 2, 0] and fallbacks == [False]
+
+    def test_iteration_cap(self):
+        run = self._follows_scipy(
+            lambda: (lambda x: (rosen(x), rosen_der(x))), np.linspace(-1.5, 1.5, 12)
+        )
+        assert (run.status, run.nit) == (1, 100)
+
+    def test_zero_gradient_start(self):
+        run = self._follows_scipy(lambda: (lambda x: (float(x @ x), 2.0 * x)), np.zeros(4))
+        assert (run.status, run.nit, run.nfev, run.fun) == (0, 0, 1, 0.0)
+
+    def test_infinite_value_start(self):
+        # what the search's objective gives where the solve fails
+        run = self._follows_scipy(lambda: (lambda x: (np.inf, np.zeros(4))), np.ones(4))
+        assert (run.status, run.nit, run.nfev, run.fun) == (0, 0, 1, np.inf)
 
 
 I3322_ER = 0.8291711375  # E_R of the three-setting fixture at 4.001
