@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _bfgs, barrier
+from . import barrier
 from .barrier import ConeConstraint, hermitian_basis, hermitian_from_params, params_from_hermitian
 from .bounds import _check_interior, construct_optimal_state, min_lambda1_for_value
 from .errors import DimMismatch, NotBellDiagonal, OutOfRange, SolverFailure
@@ -378,7 +378,9 @@ def _product_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rotate(m: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
     """U = basis and U^dag m U, or ValueError unless U has m's shape and orthonormal columns."""
     u = np.asarray(basis, dtype=complex)
-    if u.shape != m.shape or np.abs(u.conj().T @ u - np.eye(len(m))).max() > 1e-10:
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite U fails the test
+        bad = u.shape != m.shape or not (np.abs(u.conj().T @ u - np.eye(len(m))).max() <= 1e-10)
+    if bad:
         raise ValueError(f"basis must be {m.shape[0]}x{m.shape[1]} with orthonormal columns")
     return u, u.conj().T @ m @ u
 
@@ -449,6 +451,38 @@ def _angle_objective(program):
     return objective
 
 
+def _bfgs(fun, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """BFGS on fun(x) -> (value, gradient) from x, with a backtracking line search.
+
+    Each step tries the quasi-Newton step p = -H g, scaled to a length of at
+    most 1, and halves it until the value falls by at least 1e-4 t g.p, at
+    most 10 trials; an inf value counts as no fall, so the search backs off
+    from a point whose value could not be computed.  H's update is skipped
+    unless y.s > 0.  Stops at a value that is not finite, at an inf-norm
+    gradient of at most 1e-6, after 100 steps, or when no trial falls.
+    Returns the point reached and its value.
+    """
+    f, g = fun(x)
+    h = np.eye(len(x))
+    for _ in range(100):
+        if not (f < np.inf and np.abs(g).max() > 1e-6):
+            break
+        p = -h @ g
+        p /= max(1.0, np.linalg.norm(p))
+        for t in 0.5 ** np.arange(10):
+            f_new, g_new = fun(x + t * p)
+            if f_new <= f + 1e-4 * t * (g @ p):
+                break
+        else:
+            break
+        s, y = t * p, g_new - g
+        x, f, g = x + s, f_new, g_new
+        if y @ s > 0:
+            r = np.eye(len(x)) - np.outer(s, y) / (y @ s)
+            h = r @ h @ r.T + np.outer(s, s) / (y @ s)
+    return x, float(f)
+
+
 def cr_min_over_product_bases(
     rho, *, restarts: int = 4, seed: int | None = None, target_op=None, target: float | None = None
 ) -> tuple[float, np.ndarray]:
@@ -457,24 +491,24 @@ def cr_min_over_product_bases(
     Give either rho, held fixed, or target_op with target, in which case the
     state is also optimized inside each basis (the joint program of the
     three-setting experiment).  From each of `restarts` random starts (an
-    integer of at least 1, not a bool, else ValueError) one BFGS run goes
-    over the four local-rotation angles (alpha, beta) per qubit, every solve
-    at gap 1e-8, and the best run is kept.  The BFGS is a step-for-step port
-    of SciPy's (gtol 1e-6 in the inf-norm, at most 100 iterations), which
-    reaches SciPy's iterates to the bit.  On the three-setting fixture every
-    converged start reaches the same C_R (32 starts within 3e-11), so a few
-    restarts suffice.  A third Euler angle gamma per qubit would only put a
-    phase on each basis column, which leaves C_R unchanged, so it is a gauge
-    and is left out.  The gradient comes from the solve itself (envelope
-    theorem), chained to the angles; it costs no extra solves.  Returns an
-    upper bound to the true minimum and the best basis found.
+    integer of at least 1, not a bool, else ValueError) one BFGS run (_bfgs)
+    goes over the four local-rotation angles (alpha, beta) per qubit, every
+    solve at gap 1e-8, and the best run is kept.  Each step backtracks from
+    the quasi-Newton step until the value falls enough (Armijo), and a run
+    stops at an inf-norm gradient of at most 1e-6, after 100 steps, or when
+    10 trial steps give no fall.  On the three-setting fixture every start
+    reaches the same C_R (32 starts within 3.1e-11; 12 of them stop on the
+    last rule, where the gap-1e-8 solves leave the gradient too noisy for
+    1e-6), so a few restarts suffice.  A third Euler angle gamma per qubit
+    would only put a phase on each basis column, which leaves C_R unchanged,
+    so it is a gauge and is left out.  The gradient comes from the solve
+    itself (envelope theorem), chained to the angles; it costs no extra
+    solves.  Returns an upper bound to the true minimum and the best basis
+    found.
 
     A basis whose solve fails gets the value inf: a start there stops at
-    once, and a line search that meets one backs off, unless the fallback
-    line search fails too.  Then, as in SciPy's BFGS, the run ends at the
-    point it had reached (SciPy's status 2), which can be short of a
-    stationary point.  Runs also end with status 2, without a failed solve,
-    where the gap-1e-8 solves leave the gradient too noisy for gtol.
+    once, and a line search that meets one halves its step, as it does for
+    any trial that gives no fall.
     SolverFailure is raised when every basis tried failed.
     """
     _check_at_least_one(restarts, "restarts", ValueError)
@@ -491,12 +525,12 @@ def cr_min_over_product_bases(
     # each start draws all six Euler angles, so a seed gives the same stream as
     # ever, and keeps the four that are not a gauge
     runs = [
-        _bfgs.minimize(objective, rng.uniform(0.0, 2.0 * np.pi, size=6)[[0, 1, 3, 4]])
+        _bfgs(objective, rng.uniform(0.0, 2.0 * np.pi, size=6)[[0, 1, 3, 4]])
         for _ in range(restarts)
     ]
-    best = min(runs, key=lambda run: run.fun)
-    if not np.isfinite(best.fun):
+    x, value = min(runs, key=lambda run: run[1])
+    if not np.isfinite(value):
         raise SolverFailure(
-            f"no product basis gave a finite C_R: best {best.fun} in {restarts} restarts"
+            f"no product basis gave a finite C_R: best {value} in {restarts} restarts"
         )
-    return float(best.fun), _product_basis(best.x)[0]
+    return value, _product_basis(x)[0]

@@ -830,6 +830,21 @@ class TestI3322Check:
         assert doc["C_R"] == pytest.approx(0.8419287612, abs=1e-9)
         assert doc["hierarchy_ok"] is True
 
+    def test_default_search_stays_within_200_solves(self, capsys, monkeypatch):
+        # 4 restarts from the default seed; the E_R program adds one solve
+        monkeypatch.delenv("BRB_SEED", raising=False)
+        calls = []
+        solve = barrier.solve_sdp
+
+        def counted_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(barrier, "solve_sdp", counted_solve)
+        code, _, _ = run(capsys, ["i3322-check"])
+        assert code == 0
+        assert len(calls) <= 200
+
     def test_cr_search_failure_exits_3(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise SolverFailure("no solve")
