@@ -14,6 +14,15 @@ multipliers nu: c - A*(Z) = a_eq^T nu, the sensitivity of the optimum to the
 rows that a caller's gradient needs.  S(x) and the Schur matrix are real
 matmuls over (re, im) pairs: OpenBLAS splits complex products of these sizes
 across threads, and a loaded host then stalls them.
+
+An iteration makes seven LAPACK calls: the Cholesky factors of S and Z, the
+inverses of both factors, one eigh of the Schur matrix, and for each of the
+two directions one eigvalsh on the stacked primal and dual step-length
+matrices.  At these sizes (m <= 12) the public numpy.linalg functions cost
+more in their Python wrappers than in LAPACK, so the solver calls the gufuncs
+behind them (numpy.linalg._umath_linalg) with the same signatures, which
+gives the same results to the bit.  Where numpy.linalg.cholesky raises
+LinAlgError the gufunc returns NaN, and the solver raises SolverFailure.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs behind numpy.linalg
 
 from .errors import SolverFailure
 
@@ -95,17 +105,38 @@ class SolveInfo:
 
 
 def _cholesky(h: np.ndarray, failure: str) -> np.ndarray:
-    """Lower Cholesky factor of h; SolverFailure(failure) unless h is positive definite."""
-    try:
-        return np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        raise SolverFailure(failure) from None
+    """Lower Cholesky factor of h; SolverFailure(failure) unless h is positive definite.
+
+    Where numpy.linalg.cholesky raises LinAlgError, its gufunc instead fills
+    the factor with NaN and sets the invalid flag, which is silenced here.
+    """
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(h, signature="D->D")
+    if np.isnan(factor[0, 0]):
+        raise SolverFailure(failure)
+    return factor
 
 
-def _max_step(inv_factor: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha with F F^H + alpha d >= 0, given F^-1; inf when d >= 0."""
-    low = np.linalg.eigvalsh(inv_factor @ d @ inv_factor.conj().T)[0]
-    return -1.0 / low if low < 0.0 else np.inf
+def _inv(h: np.ndarray) -> np.ndarray:
+    """h^-1, as numpy.linalg.inv; only ever given a Cholesky factor, which is nonsingular."""
+    return _umath_linalg.inv(h, signature="D->D")
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian h[..., :, :], as numpy.linalg.eigvalsh."""
+    return _umath_linalg.eigvalsh_lo(h, signature="D->d")
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a real symmetric h, as numpy.linalg.eigh."""
+    return _umath_linalg.eigh_lo(h, signature="d->dd")
+
+
+def _max_steps(inv_factors: np.ndarray, inv_factors_h: np.ndarray, d: np.ndarray) -> list[float]:
+    """Largest alpha_k with F_k F_k^H + alpha_k d_k >= 0 for each k, given F_k^-1 and its
+    conjugate transpose; inf when d_k >= 0."""
+    lows = _eigvalsh(inv_factors @ d @ inv_factors_h)[:, 0].tolist()
+    return [-1.0 / low if low < 0.0 else np.inf for low in lows]
 
 
 def _stack(cones: list[ConeConstraint]) -> ConeConstraint:
@@ -117,6 +148,25 @@ def _stack(cones: list[ConeConstraint]) -> ConeConstraint:
         a0[lo:hi, lo:hi] = cone.a0
         basis[:, lo:hi, lo:hi] = cone.basis
     return ConeConstraint(a0=a0, basis=basis)
+
+
+def _check_inputs(c: np.ndarray, cones: list[ConeConstraint], x0: np.ndarray,
+                  rows: np.ndarray, gap_tol: float) -> None:
+    """ValueError naming the argument unless the program is well formed and finite."""
+    if not cones:
+        raise ValueError("cones is empty")
+    if not (np.isfinite(gap_tol) and gap_tol > 0.0):
+        raise ValueError(f"gap_tol must be finite and > 0, got {gap_tol!r}")
+    lengths = sorted({len(cone.basis) for cone in cones})
+    if len(lengths) > 1:
+        raise ValueError(f"cones have bases of lengths {lengths}; they must share one")
+    n = lengths[0]
+    for name, arr, shape in (("c", c, (n,)), ("x0", x0, (n,)), ("a_eq", rows, (len(rows), n))):
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape} for the cones' "
+                             f"{n} basis matrices")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} is not finite")
 
 
 def solve_sdp(
@@ -140,18 +190,25 @@ def solve_sdp(
     Re tr(A_i Z A_j S^-1) once for an affine predictor and a corrector with
     centering (mu_aff / mu)^3, and moves x and Z 0.98 of the way to their
     cone boundaries.  The solve returns once tr(S Z) <= gap_tol and each dual
-    residual c_i - Re tr(A_i Z) is within 1e-9 (1 + max|c|): c.x minus the
-    dual objective is then the gap plus residual times x.  The multipliers nu
+    residual c_i - Re tr(A_i Z), formed only once the gap passes, is within
+    1e-9 (1 + max|c|): c.x minus the dual objective is then the gap plus
+    residual times x.  The multipliers nu
     of the rows come from the same SVD, as the least-squares solution of
     c - A*(Z) = a_eq^T nu: found for the unit-norm rows, then divided by the
     row norms.  SolverFailure is raised when x0 is not strictly feasible,
     when c.x falls along a predictor that never meets the cone boundary
     (unbounded below), when a direction is not finite or an iterate leaves
     its cone, and after _MAX_ITERATIONS.
+
+    ValueError, naming the argument, is raised before any factorisation when
+    cones is empty or their bases differ in length, when gap_tol is not
+    finite and > 0, and when c, x0 or a_eq is not finite or has a length
+    other than the cones' number of basis matrices.
     """
     c_x = np.asarray(c, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     rows = np.zeros((0, len(x0))) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    _check_inputs(c_x, cones, x0, rows, gap_tol)
     # each row at unit norm, so that the rank cut does not depend on a row's scale
     norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0.0] = 1.0
@@ -168,32 +225,39 @@ def solve_sdp(
     n = len(c)
     flat = cone.basis.view(float).reshape(n, -1)
     dual_tol = 1e-9 * (1.0 + float(np.abs(c).max(initial=0.0)))
+    neg_c = -c  # A*(0) - c, the predictor's right-hand side
 
     def adjoint(h: np.ndarray) -> np.ndarray:
         """Re tr(A_i h) for every i: A_i pairs with h itself on the (re, im) view."""
         return flat @ np.ascontiguousarray(h).view(float).ravel()
 
-    def direction(shift: np.ndarray):
-        """HKM step: dZ = Herm(shift - Z - Z dS S^-1) with Re tr(A_i dZ) = c_i - Re tr(A_i Z)."""
-        dx = vec @ ((vec.T @ (adjoint(shift) - c)) / eig)  # M dx = A*(shift) - c
+    def direction(rhs: np.ndarray, base: np.ndarray):
+        """HKM step toward a shift, given rhs = A*(shift) - c and base = shift - Z.
+
+        M dx = rhs and dZ = Herm(base - Z dS S^-1), so Re tr(A_i dZ) = c_i - Re tr(A_i Z).
+        Returns dx and the stack (dS, dZ).
+        """
+        dx = vec @ ((vec.T @ rhs) / eig)
         ds = (dx @ flat).view(complex).reshape(m, m)  # not S(x + dx) - S(x), which cancels
-        dz = shift - z - z @ ds @ s_inv
+        dz = base - z @ ds @ s_inv
         dz = 0.5 * (dz + dz.conj().T)
         if not (np.isfinite(dx).all() and np.isfinite(dz).all()):
             raise SolverFailure(f"non-finite direction at iteration {iteration}")
-        return dx, ds, dz
+        return dx, np.array([ds, dz])
 
     z = None
     for iteration in itertools.count():
         s = cone.evaluate(x)
         where = "starting point" if z is None else f"primal iterate at iteration {iteration}"
-        s_chol = _cholesky(s, f"{where} not strictly feasible")
-        s_chol_inv = np.linalg.inv(s_chol)
-        s_inv = s_chol_inv.conj().T @ s_chol_inv
-        z = s_inv if z is None else z
+        s_chol_inv = _inv(_cholesky(s, f"{where} not strictly feasible"))
+        if z is None:
+            z = s_chol_inv.conj().T @ s_chol_inv  # S^-1
         z_chol = _cholesky(z, f"dual iterate at iteration {iteration} not strictly feasible")
         gap = float(np.vdot(s, z).real)  # tr(S Z)
-        residual = float(np.abs(c - adjoint(z)).max(initial=0.0))
+        # the dual residual matters only once the gap passes, and for the last message
+        last, residual = iteration == _MAX_ITERATIONS, np.inf
+        if gap <= gap_tol or last:
+            residual = float(np.abs(c - adjoint(z)).max(initial=0.0))
         if gap <= gap_tol and residual <= dual_tol:
             # back to the caller's x, where c.x = c.x0 + (N^T c).z
             x, dual, nu = x0 + null @ x, float(c_x @ x0) - float(np.vdot(cone.a0, z).real), None
@@ -203,25 +267,30 @@ def solve_sdp(
                 a_z = np.einsum("kij,ji->k", caller.basis, z).real
                 nu = u[:, :rank] @ ((vt[:rank] @ (c_x - a_z)) / sv[:rank]) / norms
             return SolveInfo(x, float(c_x @ x), dual, gap, iteration, nu, z)
-        if iteration == _MAX_ITERATIONS:
+        if last:
             raise SolverFailure(f"no certificate in {iteration} iterations: gap {gap:.2e}, "
                                 f"dual residual {residual:.2e}")
-        z_chol_inv = np.linalg.inv(z_chol)
+        # the inverse factors of S and Z, stacked so that both step lengths of a
+        # direction come from one eigvalsh call
+        inv_f = np.array([s_chol_inv, _inv(z_chol)])
+        inv_fh = inv_f.conj().transpose(0, 2, 1)
+        s_inv = inv_fh[0] @ inv_f[0]
         # M_ij = Re tr(B_i B_j^H) with B_i = L^-1 A_i R, where S = L L^H and Z = R R^H
         b = (s_chol_inv @ cone.basis @ z_chol).view(float).reshape(n, -1)
         # near the optimum M is too ill-conditioned for Cholesky, which fails or
         # loses the dual residual; its eigenvalues below _SCHUR_CUT are dropped
-        eig, vec = np.linalg.eigh(b @ b.T)
+        eig, vec = _eigh(b @ b.T)
         keep = eig > _SCHUR_CUT * eig[-1]
         eig, vec = eig[keep], vec[:, keep]
-        dx, ds, dz = direction(np.zeros_like(s))  # the affine predictor
-        primal_max = _max_step(s_chol_inv, ds)
+        dx, d = direction(neg_c, -z)  # the affine predictor, whose shift is 0
+        primal_max, dual_max = _max_steps(inv_f, inv_fh, d)
         if primal_max == np.inf and float(c @ dx) < 0.0:
             raise SolverFailure("unbounded below: c.x falls along a direction in the cone")
-        dual_max = _max_step(z_chol_inv, dz)
-        affine = np.vdot(s + min(1.0, primal_max) * ds, z + min(1.0, dual_max) * dz).real
+        affine = np.vdot(s + min(1.0, primal_max) * d[0], z + min(1.0, dual_max) * d[1]).real
         sigma_mu = gap / m * min(1.0, (max(float(affine), 0.0) / gap) ** 3)
-        second = dz @ ds @ s_inv  # the second-order term of (Z + dZ)(S + dS)
-        dx, ds, dz = direction(sigma_mu * s_inv - second)
-        x = x + min(1.0, _TO_BOUNDARY * _max_step(s_chol_inv, ds)) * dx
-        z = z + min(1.0, _TO_BOUNDARY * _max_step(z_chol_inv, dz)) * dz
+        # the centering target less the second-order term of (Z + dZ)(S + dS)
+        shift = sigma_mu * s_inv - d[1] @ d[0] @ s_inv
+        dx, d = direction(adjoint(shift) - c, shift - z)
+        primal_max, dual_max = _max_steps(inv_f, inv_fh, d)
+        x = x + min(1.0, _TO_BOUNDARY * primal_max) * dx
+        z = z + min(1.0, _TO_BOUNDARY * dual_max) * d[1]

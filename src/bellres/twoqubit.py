@@ -451,6 +451,13 @@ def _angle_objective(program):
     return objective
 
 
+# A full BFGS step that predicts a fall -g.p below this ends the run.  C_R values
+# from gap-1e-8 solves cannot resolve such a fall, and once 1e-4 t g.p is under
+# half an ulp of f the Armijo bound f + 1e-4 t g.p rounds to f itself, so a trial
+# "falls" without lowering f and the run would spend its remaining steps in place.
+_NEGLIGIBLE_FALL = 1e-11
+
+
 def _bfgs(fun, x: np.ndarray) -> tuple[np.ndarray, float]:
     """BFGS on fun(x) -> (value, gradient) from x, with a backtracking line search.
 
@@ -459,8 +466,9 @@ def _bfgs(fun, x: np.ndarray) -> tuple[np.ndarray, float]:
     most 10 trials; an inf value counts as no fall, so the search backs off
     from a point whose value could not be computed.  H's update is skipped
     unless y.s > 0.  Stops at a value that is not finite, at an inf-norm
-    gradient of at most 1e-6, after 100 steps, or when no trial falls.
-    Returns the point reached and its value.
+    gradient of at most 1e-6, after 100 steps, before a line search whose
+    full step predicts a fall -g.p below _NEGLIGIBLE_FALL, or when no trial
+    falls.  Returns the point reached and its value.
     """
     f, g = fun(x)
     h = np.eye(len(x))
@@ -469,6 +477,8 @@ def _bfgs(fun, x: np.ndarray) -> tuple[np.ndarray, float]:
             break
         p = -h @ g
         p /= max(1.0, np.linalg.norm(p))
+        if -(g @ p) < _NEGLIGIBLE_FALL:
+            break
         for t in 0.5 ** np.arange(10):
             f_new, g_new = fun(x + t * p)
             if f_new <= f + 1e-4 * t * (g @ p):
@@ -495,11 +505,12 @@ def cr_min_over_product_bases(
     goes over the four local-rotation angles (alpha, beta) per qubit, every
     solve at gap 1e-8, and the best run is kept.  Each step backtracks from
     the quasi-Newton step until the value falls enough (Armijo), and a run
-    stops at an inf-norm gradient of at most 1e-6, after 100 steps, or when
-    10 trial steps give no fall.  On the three-setting fixture every start
-    reaches the same C_R (32 starts within 3.1e-11; 12 of them stop on the
-    last rule, where the gap-1e-8 solves leave the gradient too noisy for
-    1e-6), so a few restarts suffice.  A third Euler angle gamma per qubit
+    stops at an inf-norm gradient of at most 1e-6, after 100 steps, when the
+    full step predicts a fall below 1e-11, or when 10 trial steps give no
+    fall.  On the three-setting fixture every start reaches the same C_R (32
+    starts within 3.4e-11; 17 of them stop on the last two rules, where the
+    gap-1e-8 solves leave the gradient too noisy for 1e-6), so a few
+    restarts suffice.  A third Euler angle gamma per qubit
     would only put a phase on each basis column, which leaves C_R unchanged,
     so it is a gauge and is left out.  The gradient comes from the solve
     itself (envelope theorem), chained to the angles; it costs no extra

@@ -1,5 +1,7 @@
 """Tests for the primal-dual SDP solver, with and without equality rows."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,37 @@ _PAIR_CONE = ConeConstraint(
 def test_start_must_be_strictly_feasible(x0):
     with pytest.raises(SolverFailure, match="strictly feasible"):
         solve_sdp(np.ones(1), [_PAIR_CONE], np.array([x0]))
+
+
+_TWO_PARAMETER_CONE = ConeConstraint(a0=np.eye(2, dtype=complex), basis=hermitian_basis(2)[:2])
+
+
+@pytest.mark.parametrize(
+    "c, cones, x0, a_eq, gap_tol, name",
+    [
+        ([1.0], [_PAIR_CONE], [3.0], None, np.nan, "gap_tol"),
+        ([1.0], [_PAIR_CONE], [3.0], None, 0.0, "gap_tol"),
+        ([1.0], [_PAIR_CONE], [3.0], None, -1.0, "gap_tol"),
+        ([1.0], [_PAIR_CONE], [3.0], None, np.inf, "gap_tol"),
+        ([1.0], [], [3.0], None, 1e-9, "cones"),
+        ([1.0], [_PAIR_CONE, _TWO_PARAMETER_CONE], [3.0], None, 1e-9, "cones"),
+        ([np.inf], [_PAIR_CONE], [3.0], None, 1e-9, "c"),
+        ([np.nan], [_PAIR_CONE], [3.0], None, 1e-9, "c"),
+        ([1.0], [_PAIR_CONE], [np.nan], None, 1e-9, "x0"),
+        ([1.0, 1.0], [_TWO_PARAMETER_CONE], [0.0, 0.0], [[np.inf, 1.0]], 1e-9, "a_eq"),
+        ([1.0, 1.0], [_TWO_PARAMETER_CONE], [0.0, 0.0], [[np.nan, 1.0]], 1e-9, "a_eq"),
+        ([1.0, 1.0], [_PAIR_CONE], [3.0], None, 1e-9, "c"),
+        ([1.0], [_PAIR_CONE], [3.0, 3.0], None, 1e-9, "x0"),
+        ([1.0, 1.0], [_TWO_PARAMETER_CONE], [0.0, 0.0], [[1.0, 1.0, 1.0]], 1e-9, "a_eq"),
+        ([1.0, 1.0], [_TWO_PARAMETER_CONE], [0.0], None, 1e-9, "x0"),
+    ],
+    ids=["gap-nan", "gap-0", "gap-negative", "gap-inf", "no-cones", "cones-disagree", "c-inf",
+         "c-nan", "x0-nan", "a_eq-inf", "a_eq-nan", "c-too-long", "x0-too-long",
+         "a_eq-too-wide", "x0-too-short"],
+)
+def test_malformed_program_raises_value_error(c, cones, x0, a_eq, gap_tol, name):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        solve_sdp(np.array(c), cones, np.array(x0), a_eq, gap_tol=gap_tol)
 
 
 def test_pair_cone_minimum():
@@ -165,3 +198,44 @@ def test_redundant_equality_rows_hold_at_the_solution():
     # the multipliers close the KKT system c - A*(Z) = a_eq^T nu despite the redundant row
     a_z = np.einsum("kij,ji->k", basis, info.z).real
     assert np.abs(c - a_z - a_eq.T @ info.multipliers).max() <= 1e-8
+
+
+def _random_hermitian(rng, shape):
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return g + np.swapaxes(g, -1, -2).conj()
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["single", "pair"])
+def test_lapack_calls_equal_numpy_linalg_to_the_bit(m, stack):
+    # the loop calls numpy.linalg's own gufuncs without its wrappers; a numpy
+    # release that changes that private route fails here
+    rng = np.random.default_rng(m)
+    h = _random_hermitian(rng, stack + (m, m))
+    pd = h @ np.swapaxes(h, -1, -2).conj() + np.eye(m)
+    factor = np.linalg.cholesky(pd)
+    for one, want in zip(pd.reshape(-1, m, m), factor.reshape(-1, m, m)):  # one matrix a call
+        assert np.array_equal(barrier._cholesky(one, "unused"), want)
+    assert np.array_equal(barrier._inv(factor), np.linalg.inv(factor))
+    assert np.array_equal(barrier._eigvalsh(h), np.linalg.eigvalsh(h))
+    real = h.real + np.swapaxes(h.real, -1, -2)
+    for got, want in zip(barrier._eigh(real), np.linalg.eigh(real)):
+        assert np.array_equal(got, want)
+
+
+def test_non_positive_definite_cholesky_raises_without_a_warning():
+    h = np.diag([1.0, -1.0, 2.0, 3.0]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure, match="^not positive definite$"):
+            barrier._cholesky(h, "not positive definite")
+
+
+def test_solve_calls_no_numpy_linalg_factorisation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg called inside the loop")
+
+    for name in ("cholesky", "inv", "eigvalsh", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    info = solve_sdp(np.ones(1), [_PAIR_CONE], np.array([3.0]))
+    assert info.value == pytest.approx(1.0, abs=1e-8)

@@ -804,6 +804,13 @@ class TestBfgs:
         lengths = [np.linalg.norm(p - x0) for p in points[1:]]
         np.testing.assert_allclose(lengths, 0.5 ** np.arange(10), rtol=1e-15)
 
+    def test_negligible_predicted_fall_returns_at_once(self):
+        # -g.p = 4e-12: the Armijo bound rounds to the value itself, so a line
+        # search would "succeed" on every step without lowering it
+        fun, points = _recorded(lambda x: (1.0, np.array([2e-6, 0.0, 0.0, 0.0])))
+        x, value = twoqubit._bfgs(fun, np.zeros(4))
+        assert len(points) == 1 and value == 1.0 and np.array_equal(x, np.zeros(4))
+
     def test_linear_objective_takes_100_unit_steps(self):
         fun, points = _recorded(lambda x: (float(x[0]), np.ones(1)))
         x, value = twoqubit._bfgs(fun, np.zeros(1))
