@@ -50,7 +50,12 @@ class ConeConstraint:
 
 
 def hermitian_basis(d: int) -> np.ndarray:
-    """Real basis of d x d Hermitian matrices: diagonal, symmetric, antisymmetric."""
+    """Real basis of d x d Hermitian matrices: diagonal, symmetric, antisymmetric.
+
+    ValueError unless d is an integer (Python or numpy, not bool) of at least 1.
+    """
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"hermitian_basis needs an integer d of at least 1, got {d!r}")
     mats = []
     for i in range(d):
         m = np.zeros((d, d), dtype=complex)

@@ -34,9 +34,11 @@ def _frame(mu, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d levels mu and z = mu - mu1, exact where the offset dominates (Sterbenz's lemma).
 
     Every closed form works on z and tau = t - mu1, so an offset costs no digits.
-    mu may hold rows of levels along its last axis.  OutOfRange unless mu is
-    finite and descending (ties allowed).
+    mu may hold rows of levels along its last axis.  OutOfRange unless d >= 1
+    and mu is finite and descending (ties allowed).
     """
+    if d < 1:
+        raise OutOfRange(f"the dimension must be at least 1, got {d}")
     mu = np.asarray(mu, dtype=float)
     if mu.shape[-1:] != (d,):
         got = mu.shape[-1] if mu.ndim else "a scalar"
@@ -234,7 +236,7 @@ def _gibbs_b(z: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def min_relent_purity_for_value(op, target: float) -> tuple[float, float, DensityState]:
-    """Minimal relative entropy of purity log d - S(rho) at Tr(rho I) = target.
+    """Minimal relative entropy of purity ln d - S(rho), in nats, at Tr(rho I) = target.
 
     The entropy maximizer under a linear constraint is the Gibbs state
     rho(beta) = e^{beta I} / Tr e^{beta I}, beta >= 0.  Its S_P, beta and

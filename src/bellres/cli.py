@@ -26,47 +26,121 @@ I3322_REF_CR = 0.8418
 I3322_REF_ER = 0.8291
 
 
-_BOOL_TEXT = ("false", "true")
-
 # most rows a table command prints; a larger grid is refused before it is built.
-# In a fresh interpreter on a 2-core x86 host, chsh-curve over a million
-# distinct C peaks at about 0.16 GB and takes 2-2.5 s; a 1000 x 1000 heatmap
-# about 0.33 GB and 1.7 s
+# In a fresh interpreter on a 2-core x86 host, start-up included, chsh-curve
+# over a million distinct C peaks at 161 MiB and takes 0.9-1.0 s; a 1000 x 1000
+# heatmap at 273 MiB and 0.8-0.9 s
 MAX_TABLE_ROWS = 10**6
 
 # rows formatted and written at a time, so a large table's text never exists all at once
 _ROWS_PER_WRITE = 1 << 16
+# rows _csv_text lays out at a time, so that the arrays of each block stay in cache
+_ROWS_PER_BLOCK = 1 << 13
+
+_BOOL_TEXT = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
+_FLOAT_WIDTH = len("-1.23456789012e-308")  # the longest "%.12g" text
+_NAN_TEXT = np.frombuffer(b"nan", np.uint8)
+# entry t + 1000 j: the first j of the three ASCII digits of t (0 <= t < 1000), then NULs
+_DIGIT_TRIPLES = (
+    (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0"))
+    * (np.arange(3) < np.arange(4)[:, None, None])
+).astype(np.uint8).reshape(4000, 3).view("V3")[:, 0]
+# the digits of t (0 < t < 1000) up to its last nonzero one; -9 for t = 0
+_LAST_DIGIT = np.where(
+    np.arange(1000) == 0, -9, 3 - (np.arange(1000)[:, None] % [10, 100] == 0).sum(axis=1)
+)
+# 1000 times the digits of each triple that a text of k digits keeps
+_KEPT_TRIPLE = 1000 * np.clip(np.arange(13)[:, None] - [0, 3, 6, 9], 0, 3)
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**0 .. 10**22, each exact in binary64
 
 
-def _row_texts(columns, end: str = "\n") -> list[str]:
-    """The CSV text of each row of the equal-length columns and then end, from
-    one % per row over its entries.
+def _csv_text(columns, end: str = "\n") -> str:
+    """The CSV text of each row of the equal-length columns, each row followed by end.
 
-    Numbers print with 12 significant digits and non-finite ones as nan;
-    booleans print as true/false.
+    Numbers print as "%.12g" % x does, and non-finite ones as nan; booleans
+    print as true/false.  Every field is laid out NUL-padded in one uint8
+    block of the rows, beside its commas and end, and the NULs, which no
+    text contains, are dropped by one mask.  A longer table is laid out
+    _ROWS_PER_BLOCK rows at a time.
+
+    The numbers of all the columns are formatted together.  Those whose text
+    is in fixed notation (decimal exponent e in [-4, 11]) take array
+    arithmetic: y = |x| 10**(11 - e) is one rounding of an exact power, which
+    moves it by at most 6.1e-5 below 10**12, so rint(y) gives %'s 12 digits
+    unless y's fractional part lies within 1e-3 of 1/2.  Those near-ties,
+    zeros and exponent notation go to % itself.
     """
-    fmt = ",".join("%s" if col.dtype == bool else "%.12g" for col in columns) + end
-    values = [
-        list(map(_BOOL_TEXT.__getitem__, col.tolist())) if col.dtype == bool
-        else np.where(np.isfinite(col), col, np.nan).tolist()
-        for col in columns
-    ]
-    return [fmt % row for row in zip(*values)]
+    n = len(columns[0])
+    if n > _ROWS_PER_BLOCK:
+        return "".join(_csv_text([col[start:start + _ROWS_PER_BLOCK] for col in columns], end)
+                       for start in range(0, n, _ROWS_PER_BLOCK))
+    numeric = [col for col in columns if col.dtype != bool]
+    x = np.array(numeric, dtype=float).ravel()
+    a = np.abs(x)
+    usable = (a >= 1e-5) & (a < 1e12)
+    a = np.where(usable, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = a * _POW10.take(11 - e, mode="clip")
+    off = np.flatnonzero((y < 1e11) | (y >= 1e12))  # log10 can be one off near a power of 10
+    e[off] += (y[off] >= 1e12).astype(np.intp) - (y[off] < 1e11)
+    y[off] = a[off] * _POW10.take(11 - e[off], mode="clip")
+    digits = np.rint(y)
+    fixed = usable & (y >= 1e11) & (y < 1e12) & (np.abs(np.abs(y - digits) - 0.5) >= 1e-3)
+    carry = digits == 1e12
+    e += carry
+    fixed &= (e >= -4) & (e <= 11)
+    rows = np.flatnonzero(fixed)
+    e, digits = e[rows], np.where(carry, 1e11, digits)[rows].astype(np.int64)
+    triples = digits[:, None] // [10**9, 10**6, 1000, 1] % 1000
+    # % keeps the digits up to the last nonzero one or the units, whichever is later
+    kept = e + 1
+    for k in range(4):
+        kept = np.maximum(kept, 3 * k + _LAST_DIGIT.take(triples[:, k]))
+    digits = _DIGIT_TRIPLES.take(triples + _KEPT_TRIPLE.take(kept, 0))
+    digits = digits.view(np.uint8).reshape(len(rows), 12)
+    text = np.zeros((len(x), _FLOAT_WIDTH), np.uint8)
+    # one layout per exponent and sign: "-" if negative, then "0." and -e - 1 zeros
+    # before the digits if e < 0, or the digits with the point after the units one
+    key = 2 * (e + 4) + (x[rows] < 0)
+    for k in np.flatnonzero(np.bincount(key)):
+        exp, neg = k // 2 - 4, k % 2
+        at = np.flatnonzero(key == k)
+        part = digits.take(at, 0)
+        if exp < 0:
+            lead = np.frombuffer(b"-0.000"[1 - neg:2 - exp], np.uint8)
+            part = np.concatenate([np.broadcast_to(lead, (len(at), len(lead))), part], axis=1)
+        else:
+            point = np.where(kept.take(at) > exp + 1, ord("."), 0).astype(np.uint8)[:, None]
+            sign = np.full((len(at), neg), ord("-"), np.uint8)
+            part = np.concatenate([sign, part[:, :exp + 1], point, part[:, exp + 1:]], axis=1)
+        text[rows.take(at), :part.shape[1]] = part
+    text[~np.isfinite(x), :len(_NAN_TEXT)] = _NAN_TEXT
+    rest = np.flatnonzero(np.isfinite(x) & ~fixed)
+    text[rest] = np.array(["%.12g" % v for v in x[rest].tolist()], dtype=f"S{_FLOAT_WIDTH}"
+                          ).view(np.uint8).reshape(len(rest), _FLOAT_WIDTH)
 
-
-def _padded(texts: list[str]) -> np.ndarray:
-    """The ASCII texts as the rows of a uint8 array, padded with NULs to the longest."""
-    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+    numbers = iter(text.reshape(len(numeric), n, _FLOAT_WIDTH))
+    fields = [_BOOL_TEXT[col.astype(np.intp)] if col.dtype == bool else next(numbers)
+              for col in columns]
+    block = np.empty((n, sum(f.shape[1] + 1 for f in fields) - 1 + len(end)), np.uint8)
+    pos = 0
+    for field in fields:
+        if pos:
+            block[:, pos] = ord(",")
+            pos += 1
+        block[:, pos:pos + field.shape[1]] = field
+        pos += field.shape[1]
+    block[:, pos:] = np.frombuffer(end.encode("ascii"), np.uint8)
+    return str(block[block != 0], "ascii")
 
 
 def _emit_csv(header: list[str], columns) -> None:
     """Write the header and one CSV row per entry of the equal-length columns,
-    _ROWS_PER_WRITE rows at a time."""
+    formatted by _csv_text _ROWS_PER_WRITE rows at a time."""
     cols = [np.asarray(col).ravel() for col in columns]
     sys.stdout.write(",".join(header) + "\n")
     for start in range(0, len(cols[0]), _ROWS_PER_WRITE):
-        block = [col[start:start + _ROWS_PER_WRITE] for col in cols]
-        sys.stdout.write("".join(_row_texts(block)))
+        sys.stdout.write(_csv_text([col[start:start + _ROWS_PER_WRITE] for col in cols]))
 
 
 def _curve_columns(curve: np.recarray) -> list[np.ndarray]:
@@ -247,21 +321,24 @@ def cmd_heatmap(args) -> int:
     """The lambda1_heatmap table, one row per (C_A, C_B), C_B varying fastest.
 
     Its bytes are those of _emit_csv on the flattened columns, but built from
-    the table's structure: C_A and C_B are formatted once per grid value and
-    laid out by repeat and tile, and lambda1, E_R, P_R and feasible, which
-    depend only on C = C_A * C_B, are computed and formatted once per
-    distinct C, as one row tail each, and gathered into the rows by the index
-    of their C.  The pieces are NUL-padded uint8 rows; the padding, which no
-    formatted value contains, is dropped before the write.
+    the table's structure: C_A and C_B are formatted once per grid value,
+    and lambda1, E_R, P_R and feasible, which depend only on C = C_A * C_B,
+    are computed and formatted once per distinct C, as one row tail each, by
+    one _csv_text call.  Each row is then three of these texts, placed in one
+    (n_A, n_B, 3) object array (the tail gathered by the index of its C) and
+    written by a single join.
     """
     ca, cb = _parse_grids(args.ca_grid, args.cb_grid)
     c, row_c = np.unique(twoqubit._c_product(ca, cb), return_inverse=True)
-    tail = _padded(_row_texts(_curve_columns(twoqubit.min_er_vs_c_curve(args.v, c))[1:]))
-    lead_a = np.repeat(_padded(_row_texts([ca], ",")), len(cb), axis=0)
-    lead_b = np.tile(_padded(_row_texts([cb], ",")), (len(ca), 1))
-    text = np.concatenate([lead_a, lead_b, tail[row_c.ravel()]], axis=1)
+    curve = twoqubit.min_er_vs_c_curve(args.v, c)
+    tails = np.array(_csv_text(_curve_columns(curve)[1:]).splitlines(True), dtype=object)
+    rows = np.empty((len(ca), len(cb), 3), dtype=object)
+    # each grid value's text and its comma: lines ending ",\n", split off their newlines
+    rows[:, :, 0] = np.array(_csv_text([ca], ",\n").splitlines(), dtype=object)[:, None]
+    rows[:, :, 1] = _csv_text([cb], ",\n").splitlines()
+    rows[:, :, 2] = tails[row_c.reshape(len(ca), len(cb))]
     sys.stdout.write("C_A,C_B,lambda1,E_R,P_R,feasible\n")
-    sys.stdout.write(text.tobytes().replace(b"\0", b"").decode("ascii"))
+    sys.stdout.write("".join(rows.ravel().tolist()))
     return 0
 
 
@@ -276,11 +353,11 @@ def cmd_min_resources(args) -> int:
 
 
 def cmd_relent_compare(args) -> int:
-    """log2(1 + P_R), the Renyi-2 purity and the relative entropy of purity
-    S_P per C, with nan and false where the Gibbs state cannot reach the
-    target, that is at and above mu1.  S_P comes from one bisection over all
-    the grid's spectra; the Renyi-2 purity from min_renyi2_for_value per
-    feasible row."""
+    """log2(1 + P_R) and the Renyi-2 purity, in bits, and the relative entropy
+    of purity S_P, in nats, per C, with nan and false where the Gibbs state
+    cannot reach the target, that is at and above mu1.  S_P comes from one
+    bisection over all the grid's spectra; the Renyi-2 purity from
+    min_renyi2_for_value per feasible row."""
     (c,) = _parse_grids(args.c_grid)
     curve = twoqubit.min_er_vs_c_curve(args.v, c)
     mu = twoqubit.chsh_eigenvalues(c)
@@ -362,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--measure",
         choices=["probustness", "renyi2", "relent"],
         default="probustness",
+        help="P_R, the Renyi-2 purity in bits, or the relative entropy of purity S_P in nats",
     )
     p.set_defaults(func=cmd_bound)
 
@@ -385,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-grid", default="0.001:0.8284:100")
     p.set_defaults(func=cmd_min_resources)
 
-    p = sub.add_parser("relent-compare", help="log-robustness / Renyi-2 / rel. entropy vs C")
+    p = sub.add_parser(
+        "relent-compare", help="log-robustness / Renyi-2 (bits) / rel. entropy S_P (nats) vs C"
+    )
     p.add_argument("--v", type=float, default=0.2)
     p.add_argument("--c-grid", default="0:4:101")
     p.set_defaults(func=cmd_relent_compare)

@@ -31,10 +31,22 @@ DEFAULT_SEED = 0xB311
 
 
 def resolve_seed(seed: int | None = None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("BRB_SEED")
-    return int(env, 0) if env else DEFAULT_SEED
+    """seed if given, else the BRB_SEED environment variable read by int(text, 0),
+    else DEFAULT_SEED.
+
+    OutOfRange unless the seed is an integer (Python or numpy, not bool) of
+    at least 0, as numpy's seeding needs.
+    """
+    if seed is None:
+        env = os.environ.get("BRB_SEED")
+        if not env:
+            return DEFAULT_SEED
+        try:
+            seed = int(env, 0)
+        except ValueError:
+            raise OutOfRange(f"BRB_SEED must be an integer, got {env!r}") from None
+    _check_integer(seed, 0, "seed", OutOfRange)
+    return seed
 
 
 def default_rng(seed: int | None = None) -> np.random.Generator:
@@ -74,10 +86,10 @@ def _spectra_fixed_lambda1(rng: np.random.Generator, n: int, d: int, lam1: float
     return out
 
 
-def _check_at_least_one(value, name: str, error: type[Exception]) -> None:
-    """error unless value is an integer (Python or numpy, not bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise error(f"{name} must be an integer of at least 1, got {value!r}")
+def _check_integer(value, least: int, name: str, error: type[Exception]) -> None:
+    """error unless value is an integer (Python or numpy, not bool) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def sample_spectra(cfg: SamplerConfig, d: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -87,8 +99,8 @@ def sample_spectra(cfg: SamplerConfig, d: int, rng: np.random.Generator | None =
     or numpy, not bool) of at least 1, an unknown constraint, or a lambda1
     outside [1/d, 1], and DimMismatch for a d that is not such an integer.
     """
-    _check_at_least_one(cfg.count, "count", InfeasibleConstraint)
-    _check_at_least_one(d, "d", DimMismatch)
+    _check_integer(cfg.count, 1, "count", InfeasibleConstraint)
+    _check_integer(d, 1, "d", DimMismatch)
     rng = rng or default_rng(cfg.seed)
     if cfg.constraint == "none":
         return rng.dirichlet(np.ones(d), size=cfg.count)
@@ -195,7 +207,7 @@ def sample_max_expectation(op, cfg: SamplerConfig) -> float:
     InfeasibleConstraint for a count that is not an integer (Python or
     numpy, not bool) of at least 1.
     """
-    _check_at_least_one(cfg.count, "count", InfeasibleConstraint)
+    _check_integer(cfg.count, 1, "count", InfeasibleConstraint)
     mu, vecs = np.linalg.eigh(check_hermitian(op))
     d = len(mu)
     vh = vecs.conj().T

@@ -26,7 +26,7 @@ from .linalg import (
     eig_hermitian,
     partial_transpose,
 )
-from .oracles import _check_at_least_one, default_rng
+from .oracles import _check_integer, default_rng
 
 _B = (1.0 / np.sqrt(2.0)) * np.array(
     [
@@ -522,7 +522,7 @@ def cr_min_over_product_bases(
     any trial that gives no fall.
     SolverFailure is raised when every basis tried failed.
     """
-    _check_at_least_one(restarts, "restarts", ValueError)
+    _check_integer(restarts, 1, "restarts", ValueError)
     joint = target_op is not None
     if (rho is not None) == joint or (target is not None) != joint:
         raise ValueError("give rho, or target_op together with target, but not both")

@@ -53,6 +53,13 @@ def test_malformed_program_raises_value_error(c, cones, x0, a_eq, gap_tol, name)
         solve_sdp(np.array(c), cones, np.array(x0), a_eq, gap_tol=gap_tol)
 
 
+# these returned an empty basis, or hit range()'s TypeError
+@pytest.mark.parametrize("d", [0, -1, 2.0, True])
+def test_hermitian_basis_needs_a_dimension_of_at_least_1(d):
+    with pytest.raises(ValueError, match="integer d of at least 1"):
+        hermitian_basis(d)
+
+
 def test_pair_cone_minimum():
     info = solve_sdp(np.ones(1), [_PAIR_CONE], np.array([3.0]))
     assert info.value == pytest.approx(1.0, abs=1e-8)

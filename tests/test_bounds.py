@@ -692,6 +692,28 @@ def test_spectrum_length_must_match_d(solve):
         solve(MU4, 0.5, 3)
 
 
+# d = 0 with no levels passed the length check and ran into an IndexError
+@pytest.mark.parametrize(
+    "solve, arg",
+    [
+        (max_value_given_probustness, 0.0),
+        (min_lambda1_for_value, 1.0),
+        (max_value_given_renyi2, 0.0),
+        (min_renyi2_for_value, 1.0),
+    ],
+    ids=["max-probustness", "min-lambda1", "max-renyi2", "min-renyi2"],
+)
+@pytest.mark.parametrize("d", [0, -1])
+def test_dimension_below_1_is_out_of_range(solve, arg, d):
+    with pytest.raises(OutOfRange, match="dimension must be at least 1"):
+        solve(np.empty(0), arg, d)
+
+
+def test_relent_rows_without_levels_are_out_of_range():
+    with pytest.raises(OutOfRange, match="dimension must be at least 1"):
+        _relent_purity_rows(np.empty((3, 0)), 1.0)
+
+
 @pytest.mark.parametrize(
     "mu",
     [[1.0, np.nan, 0.0, -1.0], [np.inf, 0.0, 0.0, -1.0], [-1.0, 0.0, 0.5, 1.0]],

@@ -419,17 +419,17 @@ class TestCurveCommands:
         # than the table; the one np.unique over all rows is of that product
         rows = 401 * 401
         formatted, deduplicated = [], []
-        row_texts, unique = cli._row_texts, np.unique
+        csv_text, unique = cli._csv_text, np.unique
 
-        def spy_row_texts(columns, *args):
+        def spy_csv_text(columns, *args):
             formatted.append(len(columns[0]))
-            return row_texts(columns, *args)
+            return csv_text(columns, *args)
 
         def spy_unique(ar, *args, **kwargs):
             deduplicated.append(np.size(ar))
             return unique(ar, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_row_texts", spy_row_texts)
+        monkeypatch.setattr(cli, "_csv_text", spy_csv_text)
         monkeypatch.setattr(np, "unique", spy_unique)
         argv = ["heatmap", "--v", "0.001", "--ca-grid", "0:2:401", "--cb-grid", "0:2:401"]
         code, out, _ = run(capsys, argv)
@@ -451,6 +451,26 @@ class TestCurveCommands:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
         assert err == b""
+
+    def test_largest_heatmap_stays_within_its_memory(self):
+        # the largest table, MAX_TABLE_ROWS rows, in a fresh interpreter that reports
+        # its own peak RSS (KiB on Linux) once the table is written; its lines are
+        # counted as they stream.  It peaked at 273 MiB, and this allows a tenth more
+        argv = ["heatmap", "--v", "0.001", "--ca-grid", "0:2:1000", "--cb-grid", "0:2:1000"]
+        child = ("import resource, sys; from bellres import cli; code = cli.main(sys.argv[1:]); "
+                 "sys.stdout.flush(); "
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+                 "sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: proc.stdout.read(1 << 20), b""))
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert 1000 * 1000 == cli.MAX_TABLE_ROWS and lines == cli.MAX_TABLE_ROWS + 1
+        assert int(err) < 1.1 * 273 * 1024
 
     # each table command with one bad v: v <= 0, NaN or inf
     @pytest.mark.parametrize("v", ["0", "-0.1", "nan", "inf", "-inf"])
@@ -647,6 +667,32 @@ def test_emit_csv_writes_in_blocks_of_rows(monkeypatch):
         with contextlib.redirect_stdout(out):
             cli._emit_csv(["x", "ok"], columns)
         assert out.getvalue() == _reference_csv(["x", "ok"], columns)
+
+
+# each power of ten from 1e-6 to 1e13 with its neighbours one ulp away, both signs:
+# the edges of fixed notation (1e-4, 1e11) and of each decimal exponent
+_POWERS_OF_TEN = np.concatenate([
+    sign * np.nextafter(10.0 ** np.arange(-6, 14), toward)
+    for sign in (-1.0, 1.0) for toward in (0.0, np.inf)
+] + [10.0 ** np.arange(-6, 14), -(10.0 ** np.arange(-6, 14))])
+_FORMATTED_FLOATS = st.one_of(
+    st.floats(allow_subnormal=True),  # with nan, +-inf and +-0
+    # (k + 1/2) 10**-j, near the ties of the twelfth digit
+    st.builds(lambda k, j, sign: sign * (k + 0.5) / 10.0**j,
+              st.integers(0, 10**12), st.integers(0, 16), st.sampled_from([-1.0, 1.0])),
+    st.sampled_from(_POWERS_OF_TEN.tolist()),
+    # 12 nines and more, which round up to the next power of ten
+    st.builds(lambda k, frac: (10**12 - 1 + frac) / 10.0**k, st.integers(0, 16),
+              st.floats(0.4, 1.0, exclude_max=True)),
+)
+
+
+@given(values=st.lists(_FORMATTED_FLOATS, min_size=1, max_size=40))
+@example(values=[1e-4, 9.99999999999995e-5, 1e11, 99999999999.5, 999999999999.5, 5e-324, -0.0])
+def test_csv_text_formats_as_percent(values):
+    # the array formatter against % itself, value by value
+    want = "".join(("%.12g" % v if np.isfinite(v) else "nan") + "\n" for v in values)
+    assert cli._csv_text([np.array(values)]) == want
 
 
 @st.composite

@@ -71,6 +71,27 @@ class TestSeeding:
         assert np.array_equal(draw(), draw(seed=7))
         assert not np.array_equal(draw(), draw(seed=DEFAULT_SEED))
 
+    # numpy's SeedSequence raised its own TypeError or ValueError for these
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "7"])
+    @pytest.mark.parametrize("draw", [
+        lambda cfg: sample_spectra(cfg, 4),
+        lambda cfg: sample_max_expectation(np.diag([1.0, 0.0, 0.0, -1.0]), cfg),
+    ], ids=["sample_spectra", "sample_max_expectation"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, draw):
+        with pytest.raises(OutOfRange, match="seed must be an integer of at least 0"):
+            draw(SamplerConfig(seed=seed, count=3))
+
+    @pytest.mark.parametrize("env", ["-1", "1.5", "seven"])
+    def test_env_seed_must_be_a_non_negative_integer(self, monkeypatch, env):
+        monkeypatch.setenv("BRB_SEED", env)
+        with pytest.raises(OutOfRange, match="(?i)seed must be an integer"):
+            resolve_seed()
+
+    def test_numpy_integer_seed_is_the_same_stream(self):
+        cfg = SamplerConfig(count=5)
+        assert np.array_equal(sample_spectra(cfg, 3, default_rng(np.int64(9))),
+                              sample_spectra(cfg, 3, default_rng(9)))
+
     def test_identical_streams(self):
         cfg = SamplerConfig(seed=5, count=50, constraint="fixed-lambda1", value=0.5)
         a = sample_spectra(cfg, 4)

@@ -736,7 +736,7 @@ class TestCrSolvers:
     def test_bench_configuration_solve_count(self, monkeypatch, i3322_scenario):
         # gamma is a gauge and left out of the search, so BFGS spends no solves on
         # flat directions, and one run per start spends none on a second stage:
-        # this search makes 24
+        # this search makes 23
         gaps, value = self._bench_configuration_gaps(
             monkeypatch, bell.build_bell_operator(i3322_scenario)
         )
