@@ -80,9 +80,14 @@ def _interior(mu: np.ndarray, tau):
     return (floor - tol <= tau) & (tau < -tol)
 
 
+def _top_count(z: np.ndarray):
+    """The number of levels within _tol(z) of mu1, row by row: the top eigenspace's dimension."""
+    return (z >= -_tol(z)[..., None]).sum(axis=-1)
+
+
 def _top_space(z: np.ndarray) -> np.ndarray:
     """Uniform weights on the levels within _tol(z) of mu1: the least pure state at mu1."""
-    n_deg = int(np.sum(z >= -_tol(z)))
+    n_deg = int(_top_count(z))
     return np.full(n_deg, 1.0 / n_deg)
 
 
@@ -93,25 +98,53 @@ def _greedy(lam1: float, r: int) -> np.ndarray:
     return lam
 
 
-def _lagrange(z: np.ndarray, value_at) -> tuple[float, np.ndarray]:
-    """Lagrange rank ansatz: the first rank r = d, d-1, ... with nonnegative weights.
+def _lagrange(z: np.ndarray, x: np.ndarray, value_at):
+    """Lagrange rank ansatz, row by row: each row of z takes the first rank
+    r = d, d-1, ... with nonnegative weights.
 
-    Only ranks above the top eigenspace are scanned.  On the top r levels
-    z = mu - mu1, with a their mean and s = sum (z_k - a)^2 > 0, the
-    stationary weights at tau = t - mu1 are lambda_k = 1/r + (tau - a)(z_k - a)/s,
-    whose purity is 1/r + (tau - a)^2/s.  value_at(r, a, s) gives tau.
-    Returns (tau, weights).
+    Only ranks above a row's top eigenspace, as _top_space decides it, are
+    scanned.  On the top r levels z = mu - mu1, with a their mean and
+    s = sum (z_k - a)^2 > 0, the stationary weights at tau = t - mu1 are
+    lambda_k = 1/r + (tau - a)(z_k - a)/s, whose purity is 1/r + (tau - a)^2/s.
+    x is a column of one parameter per row, and value_at(r, a, s, x) gives
+    tau for the rows still open, on their columns a, s and x.  The loop runs
+    over r, and a row leaves it at its rank, so each row gets the bits it
+    gets alone.  Returns each row's tau, rank, weights (zero past the rank)
+    and purity sum lambda_k^2, summed over the rank's weights alone so that
+    the padding costs no bits; Infeasible if a row has no rank.
     """
-    for r in range(len(z), len(_top_space(z)), -1):
-        a = float(z[:r].mean())
-        centred = z[:r] - a
-        s = float((centred**2).sum())
-        tau = value_at(r, a, s)
-        lam = 1.0 / r + (tau - a) * centred / s
-        if lam.min() >= -_NEG_TOL:
-            lam = np.clip(lam, 0.0, None)
-            return tau, lam / lam.sum()
-    raise Infeasible("no rank admits nonnegative Lagrange weights")
+    n, d = z.shape
+    tau, purity = np.empty((2, n))
+    rank = np.empty(n, dtype=int)
+    weights = np.zeros((n, d))
+
+    def close(at, r, t, lam):
+        lam = np.clip(lam, 0.0, None)
+        lam /= lam.sum(axis=1, keepdims=True)
+        tau[at], rank[at], weights[at, :r], purity[at] = t[:, 0], r, lam, (lam**2).sum(axis=1)
+
+    n_top = _top_count(z)
+    # rows: where the open rows' answers go, a slice until the first rows close
+    top, rows = n_top.max(initial=0), slice(None)
+    for r in range(d, 0, -1):
+        if r <= top:
+            raise Infeasible("no rank admits nonnegative Lagrange weights")
+        a = z[:, :r].sum(axis=1, keepdims=True) / r  # the mean, bit for bit
+        centred = z[:, :r] - a
+        s = (centred**2).sum(axis=1, keepdims=True)
+        t = value_at(r, a, s, x)
+        lam = 1.0 / r + (t - a) * centred / s
+        done = lam.min(axis=1) >= -_NEG_TOL
+        n_done = np.count_nonzero(done)
+        if n_done == len(done):
+            close(rows, r, t, lam)
+            break
+        if n_done:
+            rows = np.arange(n)[rows]  # the open rows' indices
+            close(rows[done], r, t[done], lam[done])
+            z, x, n_top, rows = z[~done], x[~done], n_top[~done], rows[~done]
+            top = n_top.max()
+    return tau, rank, weights, purity
 
 
 def _assemble(vectors: np.ndarray, weights: np.ndarray, dims) -> DensityState:
@@ -165,17 +198,23 @@ def max_value_given_renyi2(mu, p2: float, d: int) -> RankSolution:
     if not -1e-12 <= p2 <= np.log2(d) + 1e-12:
         raise OutOfRange(f"P2 must lie in [0, log2 {d}], got {p2}")
     purity = min(max(2.0**p2 / d, 1.0 / d), 1.0)
-    n = len(_top_space(z))
+    n = int(_top_count(z))
     if purity >= 1.0 / n - 1e-12:
         top = min(1.0 / n + np.sqrt(max(0.0, (purity - 1.0 / n) * (n - 1) / n)), 1.0)
         lam = np.append(top, np.full(n - 1, (1.0 - top) / max(n - 1, 1)))
         return RankSolution(lam, float(mu[0]), p2)
+    tau, rank, weights, _ = _lagrange(z[None], np.array([[purity]]), _tau_at_purity)
+    return RankSolution(weights[0, : rank[0]], float(mu[0] + tau[0]), p2)
 
-    def value_at(r: int, a: float, s: float) -> float:
-        return a + np.sqrt(max(0.0, (purity - 1.0 / r) * s))
 
-    tau, lam = _lagrange(z, value_at)
-    return RankSolution(lam, float(mu[0] + tau), p2)
+def _tau_at_purity(r: int, a: np.ndarray, s: np.ndarray, purity: np.ndarray) -> np.ndarray:
+    """The larger tau whose rank-r Lagrange weights have the given purity."""
+    return a + np.sqrt(np.maximum(0.0, (purity - 1.0 / r) * s))
+
+
+def _tau_given(r: int, a: np.ndarray, s: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """tau itself, whatever the rank: the target of min_renyi2_for_value."""
+    return tau
 
 
 def min_renyi2_for_value(mu, target: float, d: int) -> RankSolution:
@@ -189,8 +228,42 @@ def min_renyi2_for_value(mu, target: float, d: int) -> RankSolution:
     if tau == 0.0:
         lam = _top_space(z)
         return RankSolution(lam, float(mu[0]), float(np.log2(d * lam[0])))
-    _, lam = _lagrange(z, lambda r, a, s: tau)
-    return RankSolution(lam, target, float(np.log2(d * (lam**2).sum())))
+    _, rank, weights, purity = _lagrange(z[None], np.array([[tau]]), _tau_given)
+    return RankSolution(weights[0, : rank[0]], target, float(np.log2(d * purity[0])))
+
+
+def _rows_at(mu, target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_frame's mu and z for rows of levels, and whether _interior admits the
+    target on each row.  OutOfRange unless mu holds rows of finite descending
+    levels and the target is finite."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 2:
+        raise OutOfRange(f"expected rows of levels, got shape {mu.shape}")
+    mu, z = _frame(mu, mu.shape[1])
+    if not np.isfinite(target):
+        raise OutOfRange(f"target must be finite, got {target}")
+    return mu, z, _interior(mu, target - mu[:, 0])
+
+
+def _renyi2_rows(mu, target: float) -> np.ndarray:
+    """The Renyi-2 purity P2 of min_renyi2_for_value, bit for bit, for each row
+    of mu, rows of d descending levels; NaN where _interior refuses the target.
+
+    tau is raised to mean(z) as _clamp_target raises it.  It is then 0 only
+    on a flat row at a target that rounds below its levels, whose least pure
+    state is the top space of all d levels; the other rows share one _lagrange
+    scan.  OutOfRange as _relent_purity_rows.
+    """
+    mu, z, reach = _rows_at(mu, target)
+    d = mu.shape[1]
+    z = z[reach]
+    tau = np.maximum(target - mu[reach, 0], z.mean(axis=1))
+    flat = tau == 0.0
+    purity = np.full(len(z), 1.0 / d)
+    purity[~flat] = _lagrange(z[~flat], tau[~flat, None], _tau_given)[3]
+    p2 = np.full(len(reach), np.nan)
+    p2[reach] = np.log2(d * purity)
+    return p2
 
 
 # halvings between two tests of whether every row's bracket has stopped shrinking
@@ -262,14 +335,8 @@ def _relent_purity_rows(mu, target: float) -> tuple[np.ndarray, np.ndarray, np.n
     weights, the state's spectrum.  OutOfRange for a non-finite target or
     levels that are not finite and descending.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 2:
-        raise OutOfRange(f"expected rows of levels, got shape {mu.shape}")
+    mu, z, reach = _rows_at(mu, target)
     d = mu.shape[1]
-    mu, z = _frame(mu, d)
-    if not np.isfinite(target):
-        raise OutOfRange(f"target must be finite, got {target}")
-    reach = _interior(mu, target - mu[:, 0])
     mu, z = mu[reach], z[reach]
     spread = np.where(mu[:, 0] > mu[:, -1], mu[:, 0] - mu[:, -1], 1.0)
     z = z / spread[:, None]

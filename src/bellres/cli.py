@@ -356,17 +356,15 @@ def cmd_relent_compare(args) -> int:
     """log2(1 + P_R) and the Renyi-2 purity, in bits, and the relative entropy
     of purity S_P, in nats, per C, with nan and false where the Gibbs state
     cannot reach the target, that is at and above mu1.  S_P comes from one
-    bisection over all the grid's spectra; the Renyi-2 purity from
-    min_renyi2_for_value per feasible row."""
+    bisection over all the grid's spectra, and the Renyi-2 purity from one
+    rank scan over them, each row equal to min_renyi2_for_value's to the bit."""
     (c,) = _parse_grids(args.c_grid)
     curve = twoqubit.min_er_vs_c_curve(args.v, c)
     mu = twoqubit.chsh_eigenvalues(c)
     target = 2.0 + args.v
     s_p, _, _ = bounds._relent_purity_rows(mu, target)
     feasible = np.isfinite(s_p)
-    p2 = np.full(len(c), np.nan)
-    for k in np.flatnonzero(feasible):
-        p2[k] = bounds.min_renyi2_for_value(mu[k], target, 4).resource
+    p2 = bounds._renyi2_rows(mu, target)
     log_rob = np.where(feasible, np.log2(1.0 + curve.p_r), np.nan)
     _emit_csv(
         ["C", "log_robustness", "renyi2_purity", "relent_purity", "feasible"],

@@ -227,16 +227,20 @@ def min_er_vs_ca_curve(v: float, ca_grid) -> np.recarray:
 
 def _c_product(ca_grid, cb_grid) -> np.ndarray:
     """C = C_A * C_B over the grid, row i at C_A = ca_grid[i], or OutOfRange
-    unless each single-party incompatibility lies in [0, 2]."""
-    return np.multiply.outer(_in_range("C_A", ca_grid, 2.0), _in_range("C_B", cb_grid, 2.0))
+    unless each grid is 1-D and each single-party incompatibility lies in [0, 2]."""
+    ca, cb = _in_range("C_A", ca_grid, 2.0), _in_range("C_B", cb_grid, 2.0)
+    if ca.ndim != 1 or cb.ndim != 1:
+        raise OutOfRange(f"C_A and C_B grids must be 1-D, got shapes {ca.shape} and {cb.shape}")
+    return np.multiply.outer(ca, cb)
 
 
 def lambda1_heatmap(v: float, ca_grid, cb_grid) -> np.recarray:
     """Necessary lam1 over a (C_A, C_B) grid: the CHSH curve at C = C_A * C_B.
 
-    Each single-party incompatibility must lie in [0, 2].  Row i holds C_A =
-    ca_grid[i]; the x field holds C_B.  The other fields depend on the grid
-    point only through C, and equal min_er_vs_c_curve(v, C)'s.
+    Each grid must be 1-D, and each single-party incompatibility must lie in
+    [0, 2].  Row i holds C_A = ca_grid[i]; the x field holds C_B.  The other
+    fields depend on the grid point only through C, and equal
+    min_er_vs_c_curve(v, C)'s.
     """
     c = _c_product(ca_grid, cb_grid)
     c_b = np.broadcast_to(np.asarray(cb_grid, dtype=float), c.shape)
@@ -320,32 +324,6 @@ def er_min_for_value(op, target: float) -> tuple[float, DensityState]:
     )
     rho = hermitian_from_params(info.x[: len(_H4)], _H4)
     return max(0.0, info.value), density_state(rho, (2, 2), tol=1e-7)
-
-
-_PRODUCT_EIGS = {
-    "z-product": np.eye(2, dtype=complex),
-    "x-product": (1.0 / np.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=complex),
-    "y-product": (1.0 / np.sqrt(2.0)) * np.array([[1, 1], [1j, -1j]], dtype=complex),
-}
-
-
-def product_basis_matrix(label_or_angles) -> np.ndarray:
-    """4x4 unitary whose columns form a product basis.
-
-    Accepts one of the named Pauli product bases or six Euler angles
-    (alpha, beta, gamma) per qubit: the rotations Rz(alpha) Ry(beta) Rz(gamma)
-    of the computational basis.  That is the four-angle basis of
-    _product_basis times kron(Rz(gamma_A), Rz(gamma_B)), a phase on each
-    column, which leaves the basis projectors |u_j><u_j| unchanged.
-    """
-    if isinstance(label_or_angles, str):
-        u = _PRODUCT_EIGS[label_or_angles]
-        return np.kron(u, u)
-    angles = np.asarray(label_or_angles, dtype=float)
-    if angles.shape != (6,):
-        raise ValueError(f"expected six Euler angles, got shape {angles.shape}")
-    phases = np.kron(*np.exp(np.outer(angles[[2, 5]], _HALF_Z.diagonal())))
-    return _product_basis(angles[[0, 1, 3, 4]])[0] * phases
 
 
 _HALF_Z = np.diag([-0.5j, 0.5j])  # d/dt exp(-i t sigma_z / 2) = _HALF_Z exp(-i t sigma_z / 2)

@@ -56,6 +56,21 @@ def bds_matrix():
     return matrix
 
 
+@pytest.fixture(scope="session")
+def euler_basis():
+    """The product basis of six Euler angles, (alpha, beta, gamma) per qubit:
+    each qubit's rotation Rz(alpha) Ry(beta) Rz(gamma) of the computational
+    basis.  That is the search's four-angle basis times the phases of
+    kron(Rz(gamma_A), Rz(gamma_B)) on its columns."""
+
+    def basis(angles):
+        angles = np.asarray(angles, dtype=float)
+        phases = np.kron(*np.exp(np.outer(angles[[2, 5]], [-0.5j, 0.5j])))
+        return twoqubit._product_basis(angles[[0, 1, 3, 4]])[0] * phases
+
+    return basis
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Audit every ResourceReport emitted anywhere in the run (criterion 9)."""
     reports = _REPORTS

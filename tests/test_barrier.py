@@ -138,13 +138,15 @@ def test_heavy_ppt_state_evaluation_count(monkeypatch, bds_matrix):
     assert len(calls) <= 2000
 
 
-def test_singular_schur_matrix():
+def test_singular_schur_matrix(euler_basis):
     # near this optimum the Schur matrix is numerically singular: a plain solve of it
     # raises LinAlgError, while the truncated eigendecomposition converges
     op = bell.build_bell_operator(bell.chsh_scenario())
     target = 2.6086762566521635
     lam1 = bounds.min_lambda1_for_value(eig_hermitian(op).values, target, 4).lambdas[0]
-    c_r = twoqubit.cr_min_for_value(op, target, twoqubit.product_basis_matrix("x-product"))
+    # Ry(pi/2) Rz(pi) = -i H on each qubit: the x-product basis H (x) H up to a global sign
+    x_product = euler_basis([0.0, np.pi / 2, np.pi] * 2)
+    c_r = twoqubit.cr_min_for_value(op, target, x_product)
     assert c_r == pytest.approx(2.0 * lam1 - 1.0, abs=1e-7)
 
 
@@ -168,14 +170,14 @@ def solver_counts(monkeypatch):
     return evaluations, iterations
 
 
-def test_fixture_panel_evaluation_count(i3322_scenario, solver_counts):
+def test_fixture_panel_evaluation_count(i3322_scenario, solver_counts, euler_basis):
     # the fixed-basis solves of the product-basis C_R search, at both of its gaps
     evaluations, iterations = solver_counts
     op = bell.build_bell_operator(i3322_scenario)
     angles = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, size=(60, 6))
     per_solve = []
     for gap_tol in (1e-6, 1e-8):
-        for basis in map(twoqubit.product_basis_matrix, angles):
+        for basis in map(euler_basis, angles):
             evaluations.clear()
             twoqubit.cr_min_for_value(op, 4.001, basis, gap_tol=gap_tol)
             per_solve.append(len(evaluations))

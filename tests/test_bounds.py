@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bellres import bell
 from bellres.bounds import (
     _relent_purity_rows,
+    _renyi2_rows,
     construct_optimal_state,
     max_value_given_probustness,
     max_value_given_renyi2,
@@ -460,6 +461,15 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+_BAD_ROWS = [
+    (MU4, 1.0, "rows of levels"),
+    (np.array([[1.0, np.nan, 0.0]]), 0.0, "finite and descending"),
+    (np.array([[0.0, 1.0, 2.0]]), 1.0, "finite and descending"),
+    (np.array([MU4]), np.nan, "target must be finite"),
+]
+_BAD_ROW_IDS = ["one-row-as-1d", "nan-level", "ascending", "nan-target"]
+
+
 class TestRelentForSpectra:
     @settings(max_examples=200)
     @given(_spectrum_rows())
@@ -497,19 +507,78 @@ class TestRelentForSpectra:
         assert np.isfinite(s_p[0]) and np.isfinite(beta[0]) and np.isfinite(weights[0]).all()
         assert np.isnan(s_p[1:]).all() and np.isnan(beta[1:]).all() and np.isnan(weights[1:]).all()
 
-    @pytest.mark.parametrize(
-        "mu, target, match",
-        [
-            (MU4, 1.0, "rows of levels"),
-            (np.array([[1.0, np.nan, 0.0]]), 0.0, "finite and descending"),
-            (np.array([[0.0, 1.0, 2.0]]), 1.0, "finite and descending"),
-            (np.array([MU4]), np.nan, "target must be finite"),
-        ],
-        ids=["one-row-as-1d", "nan-level", "ascending", "nan-target"],
-    )
+    @pytest.mark.parametrize("mu, target, match", _BAD_ROWS, ids=_BAD_ROW_IDS)
     def test_bad_input_is_out_of_range(self, mu, target, match):
         with pytest.raises(OutOfRange, match=match):
             _relent_purity_rows(mu, target)
+
+
+class TestRenyi2ForSpectra:
+    @settings(max_examples=200)
+    @given(_spectrum_rows())
+    def test_batch_rows_equal_one_row_calls(self, rows):
+        # every row of one rank scan ends on the bits it reaches alone, which are
+        # min_renyi2_for_value's; the rows where S_P is NaN are NaN
+        mu, target = rows
+        p2 = _renyi2_rows(mu, target)
+        assert np.array_equal(np.isnan(p2), np.isnan(_relent_purity_rows(mu, target)[0]))
+        for k in range(len(mu)):
+            assert _bits(_renyi2_rows(mu[k : k + 1], target)[0]) == _bits(p2[k])
+            if np.isfinite(p2[k]):
+                want = min_renyi2_for_value(mu[k], target, mu.shape[1]).resource
+                assert _bits(p2[k]) == _bits(want)
+
+    def test_flat_spectrum_at_its_rounded_mean_is_maximally_mixed(self):
+        # the target rounds below the seven equal levels: the top space, all of them
+        mu = np.full(7, 5.55)
+        p2 = _renyi2_rows(np.array([mu, mu - 1.0]), mu.mean())
+        assert _bits(p2[0]) == _bits(min_renyi2_for_value(mu, mu.mean(), 7).resource)
+        assert p2[0] == pytest.approx(0.0, abs=1e-15) and np.isnan(p2[1])
+
+    @pytest.mark.parametrize("mu, target, match", _BAD_ROWS, ids=_BAD_ROW_IDS)
+    def test_bad_input_is_out_of_range(self, mu, target, match):
+        with pytest.raises(OutOfRange, match=match):
+            _renyi2_rows(mu, target)
+
+    def test_rows_without_levels_are_out_of_range(self):
+        with pytest.raises(OutOfRange, match="dimension must be at least 1"):
+            _renyi2_rows(np.empty((3, 0)), 1.0)
+
+
+@st.composite
+def _hierarchy_cases(draw):
+    """d = 2-8 levels from _SPECTRA, half the time with a two-fold pair below
+    the top as well, and a target a fraction from _FRACS of the way to mu1."""
+    mu = draw(_SPECTRA)
+    if len(mu) > 3 and draw(st.booleans()):
+        k = draw(st.integers(1, len(mu) - 2))
+        mu[k + 1] = mu[k]
+    return mu, _target(mu, draw(_FRACS))
+
+
+# the three measures are O(log2 d) <= 3 bits, each computed to a few ulps (4.4e-16)
+# of that, and they meet at the ends: all 0 at Tr(I)/d and all log2(d/n) at an n-fold mu1
+_HIERARCHY_SLACK = 1e-12
+
+
+class TestPurityHierarchy:
+    """S_P = D(rho||I/d), P2 = D_2(rho||I/d) and log2(1 + P_R) = D_max(rho||I/d):
+    Renyi divergences from the maximally mixed state grow with their order, and
+    so do their least values at one Bell value.  S_P is in nats, so it is
+    compared in bits."""
+
+    @settings(max_examples=200)
+    @given(_hierarchy_cases())
+    def test_relent_renyi2_max_order(self, case):
+        mu, target = case
+        d = len(mu)
+        p2 = min_renyi2_for_value(mu, target, d).resource
+        assert p2 <= np.log2(1.0 + min_lambda1_for_value(mu, target, d).resource) + _HIERARCHY_SLACK
+        try:
+            s_p = min_relent_purity_for_value(np.diag(mu), target)[0]
+        except Infeasible:
+            return  # at mu1, up to _tol: no Gibbs state reaches it
+        assert s_p / np.log(2.0) <= p2 + _HIERARCHY_SLACK
 
 
 @st.composite

@@ -769,7 +769,8 @@ class TestBoundGolden:
     # sha256 of the bound command's JSON stdout, recorded before the closed
     # forms were rewritten around shared helpers; the outputs must keep their bytes.
     # The relent rows were re-recorded when relent came to bisect on the normalised levels,
-    # and again when S_P came to be read off the Gibbs weights (resource_value only)
+    # and again when S_P came to be read off the Gibbs weights (resource_value only).
+    # The renyi2 rows were recorded before the rank scan came to run over rows.
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -777,17 +778,23 @@ class TestBoundGolden:
              "7e6de61a876e6aa3b88c1307fea7c30da01b60b1a23e39be35bf2912ee11c3cc"),
             (["chsh-c4", "--value", "0.2", "--measure", "relent"],
              "dd551a73027e174ed99857deaf7d6227e1c53831d17b4e39f4dccceb3237e23f"),
+            (["chsh-c4", "--value", "0.2", "--measure", "renyi2"],
+             "406a66c96d1c1538d5a992eaa278ad09294a6044b191a918c367979d06a74de0"),
             (["i3322", "--target", "4.001", "--measure", "probustness"],
              "cd690130399e142e8423277f386c8d456452c35129273d089ceb3210bd01e8de"),
             (["i3322", "--target", "4.001", "--measure", "relent"],
              "7866a2e2568fa09db170b2a73af2f60cc021af6ef9ff1b1735f4bd72b3ec2fc1"),
+            (["i3322", "--target", "4.001", "--measure", "renyi2"],
+             "b67db025fee20d66898dec91e542900b9a39743153bfae39f0cd2f6b00389d90"),
             (["steering-f2", "--value", "0.3", "--measure", "probustness"],
              "9ec668451382b5bd333503b5fcb2951e3ba036a79970a74230f5ddd922e234f0"),
             (["steering-f2", "--value", "0.3", "--measure", "relent"],
              "ef868a3a1f560812f2e45dd5dedd4ea120b62b88f43bcc98b440b22b154e466e"),
+            (["steering-f2", "--value", "0.3", "--measure", "renyi2"],
+             "7ab66b89cd860c64576e901e00fcc887179db55198b1d15af41275b598db6cbb"),
         ],
         ids=[f"{builtin}-{measure}" for builtin in ("chsh-c4", "i3322", "steering-f2")
-             for measure in ("probustness", "relent")],
+             for measure in ("probustness", "relent", "renyi2")],
     )
     def test_bound_json_bytes(self, capsys, argv, digest):
         code, out, _ = run(capsys, ["bound", "--builtin", *argv])
@@ -835,6 +842,40 @@ class TestMinResources:
 
 
 class TestRelentCompare:
+    def test_renyi2_column_makes_no_per_row_call(self, capsys, monkeypatch):
+        # the column is one rank scan over the rows, not a min_renyi2_for_value per row
+        calls = []
+        solve = bounds.min_renyi2_for_value
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "min_renyi2_for_value", spy)
+        code, out, _ = run(capsys, ["relent-compare", "--v", "0.2", "--c-grid", "0:4:101"])
+        assert code == 0 and out.count("true") > 0
+        assert calls == []
+
+    # S_P/ln 2 <= P2 <= log2(1 + P_R), the order of the Renyi divergences from
+    # I/d.  %.12g moves each printed value, at most 2 bits or 1.39 nats, by at
+    # most 5e-12 of its size: a printed pair can lose 2e-11, and the closed
+    # forms 1e-12 (TestPurityHierarchy), within the slack of 3e-11
+    @settings(max_examples=25)
+    @given(grid=_relent_grid(), v=st.sampled_from([1e-13, 0.001, 0.2, 0.5, 0.8]))
+    @example(grid=("0:4:2001", np.linspace(0.0, 4.0, 2001)), v=0.001)
+    @example(grid=("0:4:2001", np.linspace(0.0, 4.0, 2001)), v=0.8)
+    def test_rows_keep_the_purity_hierarchy(self, grid, v):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["relent-compare", f"--v={v!r}", f"--c-grid={grid[0]}"]) == 0
+        _, rows = parse_csv(out.getvalue())
+        feasible = np.array([[float(x) for x in row[1:4]] for row in rows if row[4] == "true"])
+        if not len(feasible):
+            return
+        log_rob, p2, s_p = feasible.T
+        assert (s_p / np.log(2.0) <= p2 + 3e-11).all()
+        assert (p2 <= log_rob + 3e-11).all()
+
     def test_columns(self, capsys):
         code, out, _ = run(capsys, ["relent-compare", "--v", "0.2", "--c-grid", "0:4:41"])
         assert code == 0

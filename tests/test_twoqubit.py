@@ -34,7 +34,6 @@ from bellres.twoqubit import (
     min_er_vs_c_curve,
     min_er_vs_ca_curve,
     min_resources_for_value,
-    product_basis_matrix,
     steering_eigenvalues,
 )
 
@@ -129,13 +128,14 @@ class TestMinResourcesForValue:
         # the void state is separable (PPT) with zero robustness
         assert er_ppt_solver(rep.void_state) <= 1e-7
 
-    def test_phi_plus_psi_plus_pair_is_x_product(self, bds_matrix):
+    def test_phi_plus_psi_plus_pair_is_x_product(self, bds_matrix, euler_basis):
         op = bds_matrix([1.0, 0.0, 0.0, 0.0]) * 3 + bds_matrix([0.0, 0.0, 1.0, 0.0]) * 2
         op += -1.0 * bds_matrix([0.0, 0.0, 0.0, 1.0])  # spectrum (3, 2, 0, -1)
         rep = min_resources_for_value(op, 2.0, 0.8)
         assert rep.coherence_basis == "x-product"
         # closest incoherent state in that basis reproduces E_R
-        basis = product_basis_matrix("x-product")
+        # Ry(pi/2) Rz(pi) = -i H on each qubit: H (x) H up to a global sign
+        basis = euler_basis([0.0, np.pi / 2, np.pi] * 2)
         got = cr_fixed_basis(rep.witness_state, basis)
         assert abs(got - rep.e_r) <= 1e-6
 
@@ -333,6 +333,17 @@ class TestHeatmap:
         with pytest.raises(OutOfRange):
             lambda1_heatmap(0.001, [1.0], [-0.5])
 
+    @pytest.mark.parametrize(
+        "ca, cb",
+        [(np.ones((2, 2)), np.ones(3)), (np.ones(3), np.ones((1, 3))), (1.0, np.ones(3)),
+         (np.ones(3), 1.0)],
+        ids=["2d-ca", "2d-cb", "scalar-ca", "scalar-cb"],
+    )
+    def test_grids_must_be_1d(self, ca, cb):
+        # a 2-D grid used to give a record array of three or more dimensions
+        with pytest.raises(OutOfRange, match="must be 1-D"):
+            lambda1_heatmap(0.1, ca, cb)
+
     def test_corner_cells(self):
         rows = lambda1_heatmap(0.001, [2.0], [0.0, 2.0])
         assert not rows[0][0].feasible  # (2, 0): max eigenvalue 2 = local bound
@@ -427,20 +438,20 @@ class TestSdpProperties:
 
     @settings(max_examples=20)
     @given(_SEEDS, _RANKS, st.lists(st.floats(0.0, 2.0 * np.pi), min_size=10, max_size=10))
-    def test_cr_is_invariant_under_column_phases(self, seed, rank, angles):
+    def test_cr_is_invariant_under_column_phases(self, euler_basis, seed, rank, angles):
         rho = _random_state(seed, rank)
-        u = product_basis_matrix(angles[:6])
+        u = euler_basis(angles[:6])
         phased = u * np.exp(1j * np.array(angles[6:]))
         assert cr_fixed_basis(rho, phased) == pytest.approx(cr_fixed_basis(rho, u), abs=1e-8)
 
     @settings(max_examples=20)
     @given(_SEEDS, _RANKS, st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6))
-    def test_er_cr_pr_hierarchy(self, seed, rank, angles):
+    def test_er_cr_pr_hierarchy(self, euler_basis, seed, rank, angles):
         # a product basis's incoherent states are separable, and the maximally mixed
         # state that P_R = 4 lambda1 - 1 mixes towards is incoherent in every basis
         rho = _random_state(seed, rank)
         e_r = er_ppt_solver(rho)
-        c_r = cr_fixed_basis(rho, product_basis_matrix(angles))
+        c_r = cr_fixed_basis(rho, euler_basis(angles))
         p_r = 4.0 * np.linalg.eigvalsh(rho)[-1] - 1.0
         assert e_r <= c_r + 1e-8
         assert c_r <= p_r + 1e-8
@@ -679,28 +690,13 @@ class TestCrSolvers:
         e_r, _ = er_min_for_value(chsh_op, 2.2)
         assert c_r >= e_r - 1e-6
 
-    def test_product_basis_matrix_named_and_angles(self):
-        for label in ("z-product", "x-product", "y-product"):
-            u = product_basis_matrix(label)
-            assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
-        u = product_basis_matrix(np.zeros(6))
-        assert np.abs(u - np.eye(4)).max() <= 1e-12
-        # the six Euler angles are the four search angles times the column phases
-        angles = default_rng(0x6A).uniform(0.0, 2.0 * np.pi, size=6)
-        rz = [np.diag(np.exp(0.5j * np.array([-g, g]))) for g in angles[[2, 5]]]
-        u4 = twoqubit._product_basis(angles[[0, 1, 3, 4]])[0]
-        np.testing.assert_allclose(product_basis_matrix(angles), u4 @ np.kron(*rz), atol=1e-14)
-        for size in (4, 5, 7, 12):
-            with pytest.raises(ValueError, match="six Euler angles"):
-                product_basis_matrix(np.zeros(size))
-
     @given(
         angles=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6),
         shift=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=20)
-    def test_gamma_is_a_gauge(self, i3322_scenario, angles, shift, seed):
+    def test_gamma_is_a_gauge(self, i3322_scenario, euler_basis, angles, shift, seed):
         # the trailing Rz(gamma) of each qubit only phases the basis columns, which
         # the search relies on when it leaves gamma out
         rho = _random_state(seed, 4)
@@ -711,7 +707,7 @@ class TestCrSolvers:
             lambda u: cr_min_for_value(op, 4.001, u, gap_tol=1e-9),
         ):
             try:
-                before, after = (program(product_basis_matrix(a)) for a in (angles, shifted))
+                before, after = (program(euler_basis(a)) for a in (angles, shifted))
             except SolverFailure:
                 # about 1 joint solve in 100 fails at gap 1e-9 (the dual residual stalls
                 # at its fixed tolerance); a basis without a value says nothing of the gauge
