@@ -78,9 +78,10 @@ def hermitian_from_params(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def params_from_hermitian(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # hermitian_basis(d) is orthogonal with squared norms 1 (diag) or 2 (off-diag)
-    d = basis.shape[1]
-    return np.einsum("kij,ji->k", basis, h).real / np.repeat([1.0, 2.0], [d, d * d - d])
+    """Coordinates Re tr(B_k h) / tr(B_k^2) of h's projection onto the span of an orthogonal
+    Hermitian basis B_k, over (re, im) pairs; on hermitian_basis(d) tr(B_k^2) is 1 or 2."""
+    flat = np.ascontiguousarray(basis, dtype=complex).view(float).reshape(len(basis), -1)
+    return flat @ np.ascontiguousarray(h, dtype=complex).view(float).ravel() / (flat**2).sum(axis=1)
 
 
 _TO_BOUNDARY = 0.98  # fraction of the step to the cone boundary taken on each side

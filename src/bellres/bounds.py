@@ -48,35 +48,38 @@ def _frame(mu, d: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, mu - mu[..., :1]
 
 
-def _clamp_target(mu: np.ndarray, target: float) -> float:
-    """tau = target - mu1: 0 within _tol(mu) of mu1, else as _check_interior admits it.
-
-    A tau just below Tr(I)/d - mu1 = mean(z) is raised to it.
-    """
-    if abs(target - mu[0]) <= _tol(mu):
+def _clamp_target(mu: np.ndarray, z: np.ndarray, target: float) -> float:
+    """tau = target - mu1 on _frame's mu and z: 0 within _tol(mu) of mu1, else as
+    _check_interior admits it, and raised to Tr(I)/d - mu1 = mean(z) from just below."""
+    tol, mean_z = _tol(mu), z.mean()
+    if abs(target - mu[0]) <= tol:
         return 0.0
-    return max(_check_interior(mu, target), float(np.mean(mu - mu[0])))
+    return max(_admitted(mu, target, tol, mean_z), float(mean_z))
 
 
 def _check_interior(mu: np.ndarray, target: float) -> float:
     """tau = target - mu1: OutOfRange for a non-finite target, Infeasible unless _interior."""
+    return _admitted(mu, target, _tol(mu), (mu - mu[0]).mean())
+
+
+def _admitted(mu: np.ndarray, target: float, tol, mean_z) -> float:
+    """_check_interior, given _tol(mu) and mean(z)."""
     if not np.isfinite(target):
         raise OutOfRange(f"target must be finite, got {target}")
     tau = target - mu[0]
-    if not _interior(mu, tau):
+    if not _interior(mu, tau, tol, mean_z):
         raise Infeasible(f"target {target} outside [Tr(I)/d, mu1) = [{mu.mean()}, {mu[0]})")
     return float(tau)
 
 
-def _interior(mu: np.ndarray, tau):
-    """Whether Tr(I)/d <= t < mu1, both ends up to _tol(mu), at tau = t - mu1; row by
-    row for rows of levels mu.
+def _interior(mu: np.ndarray, tau, tol, mean_z):
+    """Whether Tr(I)/d <= t < mu1, both ends up to tol = _tol(mu), at tau = t - mu1 and
+    mean_z = mean(z); row by row for rows of levels mu.
 
     Tr(I)/d - mu1 is the lower of mean(z) and mean(mu) - mu1: under a large
     offset mean(mu) rounds either way by more than _tol(mu).
     """
-    tol = _tol(mu)
-    floor = np.minimum(mu.mean(axis=-1) - mu[..., 0], (mu - mu[..., :1]).mean(axis=-1))
+    floor = np.minimum(mu.mean(axis=-1) - mu[..., 0], mean_z)
     return (floor - tol <= tau) & (tau < -tol)
 
 
@@ -176,7 +179,7 @@ def min_lambda1_for_value(mu, target: float, d: int) -> RankSolution:
     Tr(I)/d is the program on -I, whose descending spectrum is -mu[::-1].
     """
     mu, z = _frame(mu, d)
-    tau = _clamp_target(mu, target)
+    tau = _clamp_target(mu, z, target)
     if tau == 0.0:
         top = _top_space(z)
         return RankSolution(top, float(mu[0]), d / len(top) - 1.0)
@@ -224,7 +227,7 @@ def min_renyi2_for_value(mu, target: float, d: int) -> RankSolution:
     stationarity lambda_k = (beta mu_k + alpha)/2 of the Lagrange conditions.
     """
     mu, z = _frame(mu, d)
-    tau = _clamp_target(mu, target)
+    tau = _clamp_target(mu, z, target)
     if tau == 0.0:
         lam = _top_space(z)
         return RankSolution(lam, float(mu[0]), float(np.log2(d * lam[0])))
@@ -242,7 +245,7 @@ def _rows_at(mu, target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu, z = _frame(mu, mu.shape[1])
     if not np.isfinite(target):
         raise OutOfRange(f"target must be finite, got {target}")
-    return mu, z, _interior(mu, target - mu[:, 0])
+    return mu, z, _interior(mu, target - mu[:, 0], _tol(mu), z.mean(axis=1))
 
 
 def _renyi2_rows(mu, target: float) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Closed forms (entanglement robustness 2*lam1 - 1 of Bell-diagonal states, the
 CHSH spectrum as a function of the incompatibility C, the steering analogue)
-plus interior-point PPT / incoherence solvers used as independent verifiers
-and for the three-setting experiment where the closed forms do not apply.
+plus interior-point solvers of the generalized robustness R = min Tr X - 1
+s.t. X >= rho, X in K (Vidal and Tarrach, PRA 59, 141 (1999)), K the PPT cone
+for E_R or the matrices diagonal in a basis for C_R, used as independent
+verifiers and for the three-setting experiment where the closed forms do not apply.
 """
 
 from __future__ import annotations
@@ -248,8 +250,8 @@ def lambda1_heatmap(v: float, ca_grid, cb_grid) -> np.recarray:
 
 
 _H4 = hermitian_basis(4)
-_H4_PT = np.array([partial_transpose(m, 1) for m in _H4])
-_TRACE_H4 = np.einsum("kii->k", _H4).real
+# K of E_R: X^{T_B} >= 0, the PPT cone, which for two qubits is separability
+_PPT = (_H4, [np.array([partial_transpose(m, 1) for m in _H4])])
 
 
 def _state(rho, dims=None) -> DensityState:
@@ -265,65 +267,64 @@ def _two_qubit(a) -> np.ndarray:
     return m
 
 
+def _robustness(k, gap_tol: float, rho=None, row=None):
+    """Generalized robustness R = min Tr X - 1 s.t. X >= rho, X in K, and its SolveInfo.
+
+    k = (free, further) is K: X = sum_j x_j free[j] over an orthogonal
+    Hermitian basis, with sum_j x_j g[j] >= 0 for each basis g in further.
+    Either rho is given and x is the whole variable, or row = (op, target)
+    and rho is free as well, on rho >= 0, Tr(rho) = 1 and Tr(rho op) =
+    target: the variable is then (rho's parameters in _H4, x), and rho starts
+    at rho0 = t v1 v1^dag + (1 - t) 1/4 on the target, v1 op's top
+    eigenvector.  Either way X starts at rho + 1 projected onto the free
+    span.  Returns max(0, Tr X - 1) and the SolveInfo; with a row, its
+    multipliers are those of the trace and Bell rows.
+    """
+    free, further = k
+    one = np.eye(free.shape[1])
+    c = free.real.trace(axis1=1, axis2=2)  # Tr X = c.x; c.x on a strided c would round otherwise
+    if row is None:
+        cones = [ConeConstraint(-rho, free), *(ConeConstraint(0 * one, g) for g in further)]
+        x0, a_eq = params_from_hermitian(rho + one, free), None
+    else:
+        op, target = row
+        spec = eig_hermitian(op)
+        mu, v1 = spec.values, spec.vectors[:, 0]
+        _check_interior(mu, target)
+        mean = float(mu.mean())
+        t_mix = (target - mean) / (mu[0] - mean)
+        rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * one / 4.0
+        # rho >= 0, X - rho >= 0, then K's further cones on X
+        blocks = [(_H4, 0 * free), (-_H4, free), *((0 * _H4, g) for g in further)]
+        cones = [ConeConstraint(0 * one, np.concatenate(b)) for b in blocks]
+        c = np.concatenate([np.zeros(len(_H4)), c])
+        x0 = np.append(params_from_hermitian(rho0, _H4), params_from_hermitian(rho0 + one, free))
+        # Tr(rho) = 1 and Tr(rho op) = target hold at x0
+        a_eq = np.zeros((2, len(x0)))
+        a_eq[:, : len(_H4)] = np.einsum("kii->k", _H4).real, np.einsum("kij,ji->k", _H4, op).real
+    info = barrier.solve_sdp(c, cones, x0, a_eq, gap_tol=gap_tol)
+    return max(0.0, info.value - 1.0), info
+
+
 def er_ppt_solver(rho) -> float:
     """Generalized robustness of entanglement of a two-qubit state via PPT.
 
-    Solves min Tr(sigma) s.t. sigma >= 0 and (rho + sigma)^{T_B} >= 0 with the
-    primal-dual SDP solver; for 2x2 systems PPT is exact separability.  An
-    array is checked as a state by density_state with dims (2, 2).
+    E_R = min Tr X - 1 s.t. X >= rho and X^{T_B} >= 0, solved by
+    _robustness; for 2x2 systems PPT is exact separability.  An array is
+    checked as a state by density_state with dims (2, 2).
     """
-    m = _two_qubit(_state(rho, (2, 2)).matrix)
-    cones = [
-        ConeConstraint(a0=np.zeros((4, 4), dtype=complex), basis=_H4),
-        ConeConstraint(a0=partial_transpose(m, 1), basis=_H4_PT),
-    ]
-    x0 = params_from_hermitian(np.eye(4, dtype=complex), _H4)
-    return max(0.0, barrier.solve_sdp(_TRACE_H4, cones, x0, gap_tol=1e-9).value)
-
-
-def _bell_value_program(op, target: float, y_cones, c_y, y_start, gap_tol: float):
-    """Joint SDP over (rho, y): min c_y.y s.t. rho >= 0, Tr(rho) = 1, Tr(rho I) = target.
-
-    y_cones lists the further cones as (rho block, y block) basis pairs over
-    the 16 rho parameters and the len(c_y) y parameters.  The solve starts
-    from the strictly feasible rho0 = t v1 v1^dag + (1 - t) 1/4 on the
-    target, with y = y_start(rho0).  Returns the SolveInfo over x = (rho
-    parameters, y); its multipliers are those of the trace and Bell rows.
-    """
-    spec = eig_hermitian(op)
-    mu = spec.values
-    _check_interior(mu, target)
-    mean = float(mu.mean())
-    n, k = len(_H4), len(c_y)
-    # x = (rho params, y params)
-    cones = [
-        ConeConstraint(a0=np.zeros((4, 4), dtype=complex), basis=np.concatenate(pair))
-        for pair in [(_H4, np.zeros((k, 4, 4), dtype=complex)), *y_cones]
-    ]
-    c = np.concatenate([np.zeros(n), c_y])
-    bell = np.einsum("kij,ji->k", _H4, op).real
-    # Tr(rho) = 1 and Tr(rho I) = target hold at x0
-    a_eq = np.stack([np.concatenate([_TRACE_H4, np.zeros(k)]), np.concatenate([bell, np.zeros(k)])])
-    t_mix = (target - mean) / (mu[0] - mean)
-    v1 = spec.vectors[:, 0]
-    rho0 = t_mix * np.outer(v1, v1.conj()) + (1.0 - t_mix) * np.eye(4) / 4.0
-    x0 = np.concatenate([params_from_hermitian(rho0, _H4), y_start(rho0)])
-    return barrier.solve_sdp(c, cones, x0, a_eq, gap_tol=gap_tol)
+    return _robustness(_PPT, 1e-9, rho=_two_qubit(_state(rho, (2, 2)).matrix))[0]
 
 
 def er_min_for_value(op, target: float) -> tuple[float, DensityState]:
     """Minimal entanglement robustness over all states with Tr(rho I) = target.
 
-    Joint SDP over (rho, sigma): min Tr(sigma) s.t. rho >= 0, Tr(rho) = 1,
-    Tr(rho I) = target, sigma >= 0, (rho + sigma)^{T_B} >= 0.
+    Joint SDP over (rho, X): min Tr X - 1 s.t. rho >= 0, Tr(rho) = 1,
+    Tr(rho I) = target, X >= rho, X^{T_B} >= 0.  Returns E_R and the state.
     """
-    sigma_cones = [(np.zeros_like(_H4), _H4), (_H4_PT, _H4_PT)]
-    sigma0 = params_from_hermitian(np.eye(4, dtype=complex), _H4)
-    info = _bell_value_program(
-        _two_qubit(op), target, sigma_cones, _TRACE_H4, lambda rho0: sigma0, 1e-9
-    )
+    value, info = _robustness(_PPT, 1e-9, row=(_two_qubit(op), target))
     rho = hermitian_from_params(info.x[: len(_H4)], _H4)
-    return max(0.0, info.value), density_state(rho, (2, 2), tol=1e-7)
+    return value, density_state(rho, (2, 2), tol=1e-7)
 
 
 _HALF_Z = np.diag([-0.5j, 0.5j])  # d/dt exp(-i t sigma_z / 2) = _HALF_Z exp(-i t sigma_z / 2)
@@ -372,19 +373,15 @@ def _diag_basis(d: int) -> np.ndarray:
 def cr_fixed_basis(rho, basis: np.ndarray, *, gap_tol: float = 1e-9, gradient: bool = False):
     """Generalized robustness of coherence in a fixed orthonormal product basis.
 
-    Equivalent program: min Tr(D) - 1 over D diagonal in the basis with
-    D >= rho.  With gradient=True returns (value, G), where G = 2 rho U Z
-    gives the change of the value with the basis U as Re tr(G^dag dU): only
-    the cone's a0 = -U^dag rho U depends on U, and Z is its dual.  An array
-    is checked as a state by density_state with dims (d,).
+    C_R = min Tr X - 1 s.t. X >= rho and X diagonal in the basis, solved by
+    _robustness in the rotated frame.  With gradient=True returns (value, G),
+    where G = 2 rho U Z gives the change of the value with the basis U as
+    Re tr(G^dag dU): only the cone's a0 = -U^dag rho U depends on U, and Z is
+    its dual.  An array is checked as a state by density_state with dims (d,).
     """
     m = _state(rho).matrix
-    d = m.shape[0]
     u, rot = _rotate(m, basis)
-    cones = [ConeConstraint(a0=-rot, basis=_diag_basis(d))]
-    x0 = np.real(np.diag(rot)) + 1.0
-    info = barrier.solve_sdp(np.ones(d), cones, x0, gap_tol=gap_tol)
-    value = max(0.0, info.value - 1.0)
+    value, info = _robustness((_diag_basis(len(m)), []), gap_tol, rho=rot)
     return (value, 2.0 * m @ u @ info.z) if gradient else value
 
 
@@ -393,18 +390,15 @@ def cr_min_for_value(
 ):
     """Minimal coherence robustness (fixed basis) over states with Tr(rho I) = target.
 
-    With gradient=True returns (value, G), where G = -2 nu I U rho gives the
+    Joint SDP over (rho, X) in the rotated frame: min Tr X - 1 s.t. rho >= 0,
+    Tr(rho) = 1, Tr(rho U^dag I U) = target, X >= rho, X diagonal.  With
+    gradient=True returns (value, G), where G = -2 nu I U rho gives the
     change of the value with the basis U as Re tr(G^dag dU): only the Bell row
-    Tr(rho U^dag I U) = target depends on U, nu is its multiplier and rho the
-    optimal state in the basis.
+    depends on U, nu is its multiplier and rho the optimal state in the basis.
     """
     op = _two_qubit(op)
     u, rot = _rotate(op, basis)
-    info = _bell_value_program(
-        rot, target, [(-_H4, _diag_basis(4))], np.ones(4),
-        lambda rho0: np.real(np.diag(rho0)) + 1.0, gap_tol,
-    )
-    value = max(0.0, info.value - 1.0)
+    value, info = _robustness((_diag_basis(4), []), gap_tol, row=(rot, target))
     if not gradient:
         return value
     rho = hermitian_from_params(info.x[: len(_H4)], _H4)

@@ -60,6 +60,23 @@ def test_hermitian_basis_needs_a_dimension_of_at_least_1(d):
         hermitian_basis(d)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_params_round_trip_on_the_hermitian_basis(d):
+    # the squared norms 1 and 2 come from the basis, and divide without rounding
+    basis = hermitian_basis(d)
+    x = np.random.default_rng(d).normal(size=len(basis))
+    h = barrier.hermitian_from_params(x, basis)
+    np.testing.assert_array_equal(barrier.params_from_hermitian(h, basis), x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_params_on_the_diagonal_units_are_the_real_diagonal(d):
+    # any matrix, Hermitian or not, projects onto the span of the E_ii
+    m = np.random.default_rng(d).normal(size=(d, d, 2)) @ [1.0, 1.0j]
+    got = barrier.params_from_hermitian(m, hermitian_basis(d)[:d])
+    np.testing.assert_array_equal(got, m.diagonal().real)
+
+
 def test_pair_cone_minimum():
     info = solve_sdp(np.ones(1), [_PAIR_CONE], np.array([3.0]))
     assert info.value == pytest.approx(1.0, abs=1e-8)

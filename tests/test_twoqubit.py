@@ -388,6 +388,31 @@ class TestErSolvers:
         assert scaled == pytest.approx(e_r, rel=1e-9)
         assert np.trace(rho.matrix @ chsh_op).real == pytest.approx(2.5, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "case, target",
+        [
+            ("chsh", 2.05), ("chsh", 2.2), ("chsh", 2.6), ("i3322", 4.001), ("f2", 1.6),
+            *(pytest.param(c, 2.0 + 0.5 * (np.sqrt(4.0 + c) - 2.0), id=f"chsh-C{c}")
+              for c in (0.1, 0.5, 2.0)),
+        ],
+    )
+    def test_joint_min_is_the_fixed_program_at_its_state(self, chsh_op, i3322_scenario,
+                                                         case, target):
+        # the joint program's E_R is the fixed-state E_R of the state it returns;
+        # a number as the case is CHSH with settings at that incompatibility C,
+        # half the way from the local bound to mu1
+        if case == "chsh":
+            op = chsh_op
+        elif case == "i3322":
+            op = bell.build_bell_operator(i3322_scenario)
+        elif case == "f2":
+            op = bell.steering_operator_f2(*bell.chsh_settings_for_c(2.0))
+        else:
+            a1, a2 = bell.chsh_settings_for_c(np.sqrt(case))
+            op = tensor(a1, a1) + tensor(a1, a2) + tensor(a2, a1) - tensor(a2, a2)
+        e_r, rho = er_min_for_value(op, target)
+        assert er_ppt_solver(rho) == pytest.approx(e_r, abs=1e-8)
+
     # CHSH: Tr(I)/d = 0 and mu1 = 2 sqrt 2
     @pytest.mark.parametrize("target", [3.0, -0.5], ids=["above-mu1", "below-mean"])
     @pytest.mark.parametrize(
@@ -498,7 +523,7 @@ class TestCurvesAgainstTheSdp:
 
     # Below _LEAST_C the top two levels are close, and the joint program's
     # iterates leave their cone or stall on the dual residual for some v: at
-    # C = 0.01, 9 of 13 violations from 2% to 98% of the way to mu1 fail for
+    # C = 0.01, 7 of 13 violations from 2% to 98% of the way to mu1 fail for
     # CHSH and 8 of 13 for steering.  These two cases pin that defect.
     @pytest.mark.xfail(raises=SolverFailure, strict=True,
                        reason="the joint E_R program fails near a degenerate top pair")
